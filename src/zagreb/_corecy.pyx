@@ -1,10 +1,9 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled enumeration kernel.
 
-Mirror of _corepy (same DFS order, same prunes, same return values) with
-C arrays and 64-bit edge masks.  The mask width caps it at n <= 11; every
-caller in the package stays well below that, and asking for more raises.
-See _corepy for the algorithm notes.
+Same visiting order, slices and return values as _corepy, with C arrays
+and 64-bit edge masks.  The mask width caps it at n <= 11; every caller
+in the package stays well below that, and asking for more raises.
 """
 
 ctypedef unsigned long long u64

@@ -1,18 +1,22 @@
 """Pure-Python enumeration kernel.
 
 Enumerates the size-m edge subsets of the complete graph on 0..n-1 that
-form connected labeled graphs.  Generation is depth-first over edge
-indices in column (graph6) order; a branch is abandoned when the
-remaining candidate edges cannot reach m, or when the chosen edges plus
-the whole remaining suffix can no longer connect the graph.  In column
-order the second prune only bites once the suffix lies inside the last
-column (edges into vertex n-1): the suffix there is {(u, n-1): u >= u0},
-so it rescues exactly the components owning some vertex >= u0.  With
-unions rooted at the component maximum, the first edge index that kills
-a component is lastg + min(component maxima), a per-node loop cap.
+form connected labeled graphs, depth-first over edge indices in column
+(graph6) order, so subsets arrive in lexicographic order of their edge
+indices.  One loop body serves every position; it stops where the
+remaining positions could no longer be filled.
 
-The compiled kernel in _corecy.pyx mirrors these semantics exactly; the
-two must stay behaviorally identical (the test suite compares them).
+Connectivity is a union-find over the chosen prefix whose unions keep
+the larger root, so each root is its component's maximum vertex and one
+descending pass flattens it.  It runs once per frame, where it prunes:
+inside the last column (edges into vertex n-1) the suffix from index
+lastg + u0 only rescues components owning a vertex >= u0, capping the
+loop at lastg + min(component maxima); at the last position a frame
+with more than two components yields nothing, and with two only the
+edges joining them complete a connected graph.
+
+The compiled kernel in _corecy.pyx keeps the same visiting order, slices
+and return values; the test suite compares the two.
 """
 
 from __future__ import annotations
@@ -52,109 +56,68 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
 
     deg = [0] * n
     sel = [0] * m
-    par = list(range(n))
+    root = [0] * n
     lastg = E - (n - 1)  # index of the first edge into vertex n-1
+    last = m - 1
     visited = 0
 
-    def leaf():
-        nonlocal visited
-        for t in range(n):
-            par[t] = t
+    def roots(depth: int) -> int:
+        # root[t] = largest vertex of t's component in sel[:depth]; returns
+        # the component count
+        root[:] = range(n)
         comps = n
-        for j in sel:
-            a = U[j]
-            while par[a] != a:
-                par[a] = par[par[a]]
-                a = par[a]
-            b = V[j]
-            while par[b] != b:
-                par[b] = par[par[b]]
-                b = par[b]
-            if a != b:
-                par[a] = b
-                comps -= 1
-        if comps == 1:
-            visited += 1
-            mask = 0
-            for j in sel:
-                mask |= 1 << j
-            on_leaf(mask, deg, sel)
-
-    def tail_cap(depth: int) -> int:
-        # lastg + min over components (incl. singletons) of their max vertex
-        for t in range(n):
-            par[t] = t
         for jj in range(depth):
             j = sel[jj]
             a = U[j]
-            while par[a] != a:
-                par[a] = par[par[a]]
-                a = par[a]
+            while root[a] != a:
+                a = root[a]
             b = V[j]
-            while par[b] != b:
-                par[b] = par[par[b]]
-                b = par[b]
+            while root[b] != b:
+                b = root[b]
             if a != b:
+                comps -= 1
                 if a < b:
-                    par[a] = b
+                    root[a] = b
                 else:
-                    par[b] = a
-        mmin = 0
-        for t in range(n):
-            if par[t] == t:
-                mmin = t
-                break
-        return lastg + mmin
+                    root[b] = a
+        for t in range(n - 2, -1, -1):  # parents point upward: one pass
+            root[t] = root[root[t]]
+        return comps
 
-    def rec(start: int, need: int) -> None:
-        limit = E - need
-        at = m - need
-        nd = need - 1
-        seg1 = limit if limit < lastg - 1 else lastg - 1
-        for i in range(start, seg1 + 1):
+    def rec(start: int, at: int, stop: int, mask: int) -> None:
+        nonlocal visited
+        leaf = at == last
+        end = E - last + at  # room for the last - at edges still to pick
+        if end > stop:
+            end = stop
+        join = False
+        if leaf or end > lastg:
+            comps = roots(at)
+            if leaf:
+                if comps > 2:
+                    return
+                join = comps == 2
+            if end > lastg:
+                cap = lastg + min(root) + 1
+                if end > cap:
+                    end = cap
+        for i in range(start, end):
             u = U[i]
             v = V[i]
+            if join and root[u] == root[v]:
+                continue
             deg[u] += 1
             deg[v] += 1
             sel[at] = i
-            if nd:
-                rec(i + 1, nd)
+            if leaf:
+                visited += 1
+                on_leaf(mask | 1 << i, deg, sel)
             else:
-                leaf()
+                rec(i + 1, at + 1, E, mask | 1 << i)
             deg[u] -= 1
             deg[v] -= 1
-        if limit >= lastg:
-            lim2 = tail_cap(at)
-            if lim2 > limit:
-                lim2 = limit
-            i2 = start if start > lastg else lastg
-            for i in range(i2, lim2 + 1):
-                u = U[i]
-                v = V[i]
-                deg[u] += 1
-                deg[v] += 1
-                sel[at] = i
-                if nd:
-                    rec(i + 1, nd)
-                else:
-                    leaf()
-                deg[u] -= 1
-                deg[v] -= 1
 
-    # top level: chosen is empty, so the tail cap is simply lastg
-    top_end = min(hi - 1, E - m, lastg)
-    for i in range(lo, top_end + 1):
-        u = U[i]
-        v = V[i]
-        deg[u] += 1
-        deg[v] += 1
-        sel[0] = i
-        if m > 1:
-            rec(i + 1, m - 1)
-        else:
-            leaf()
-        deg[u] -= 1
-        deg[v] -= 1
+    rec(lo, 0, hi, 0)
     return visited
 
 

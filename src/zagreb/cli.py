@@ -181,6 +181,8 @@ def _cmd_verify(args) -> int:
             workers=args.workers,
             allow_large=args.allow_large,
         )
+    elif args.n is not None:
+        raise GraphError(f"--n applies to theorem claims only, not {args.claim}")
     else:
         rep = verify_lemma(args.claim, trials=args.trials, seed=args.seed)
     with _out_stream(args.out) as fh:

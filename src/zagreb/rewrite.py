@@ -84,9 +84,14 @@ def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
         pendants.append(w)
     if not pendants:
         raise RewriteError(f"operation I: u={u} has no pendant neighbors")
+    return _move_pendants(g, pendants, v)
+
+
+def _move_pendants(g: Graph, pendants, target: int) -> RewriteResult:
+    # reattach each pendant vertex to target; labels stay put
     moved = set(pendants)
     edges = [e for e in g.edges if e[0] not in moved and e[1] not in moved]
-    edges += [(min(v, w), max(v, w)) for w in pendants]
+    edges += [(min(target, w), max(target, w)) for w in pendants]
     after = _from_edges(g.n, sorted(edges))
     return RewriteResult(after, em1(g), em1(after), {t: t for t in range(g.n)})
 
@@ -246,11 +251,7 @@ def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
             f"operation IV: u={u} and v={v} have equal core neighborhoods and u has "
             f"no pendants; the move would only swap the two vertices"
         )
-    moved = set(pend_v)
-    edges = [e for e in g.edges if e[0] not in moved and e[1] not in moved]
-    edges += [(min(u, w), max(u, w)) for w in pend_v]
-    after = _from_edges(g.n, sorted(edges))
-    return RewriteResult(after, em1(g), em1(after), {t: t for t in range(g.n)})
+    return _move_pendants(g, pend_v, u)
 
 
 def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:

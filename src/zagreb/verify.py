@@ -23,7 +23,7 @@ from .canon import canonical_form
 from .enumeration import EnumSpec, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
-from .graph6 import edge_table, graph6_encode
+from .graph6 import edges_of_mask, graph6_encode
 from .rewrite import RewriteSpec, apply_rewrite, find_applicable
 
 THEOREM_CLAIMS = ("theorem-1", "theorem-2", "theorem-3", "theorem-4", "theorem-5")
@@ -220,15 +220,11 @@ def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 12) 
 def _iter_connected(n_max: int):
     # every connected labeled graph with n <= n_max, all edge counts
     for n in range(1, n_max + 1):
-        table = edge_table(n)
-        full = len(table)
-        for m in range(max(n - 1, 0), full + 1):
+        for m in range(max(n - 1, 0), n * (n - 1) // 2 + 1):
             masks: list[int] = []
             _kernel.visit_connected(n, m, 0, None, masks.append)
             for mask in masks:
-                yield _from_edges(
-                    n, [table[i] for i in range(full) if mask >> i & 1]
-                )
+                yield _from_edges(n, edges_of_mask(n, mask))
 
 
 def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
@@ -249,6 +245,8 @@ def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
 
 
 def _lemma_pass(kinds, trials, seed, n_max, enum_max):
+    if trials < 0:
+        raise GraphError(f"trials must be >= 0, got {trials}")
     stats = {k: {"sites": 0, "graphs_with_sites": 0} for k in kinds}
     bad = {k: [] for k in kinds}
     corpus_size = 0

@@ -157,6 +157,13 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_verify_lemma_bad_options_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "lemma-1", "--n", "5")
+    assert code == 2 and out == "" and "--n" in err
+    code, out, err = run(capsys, "verify", "lemma-1", "--trials", "-5")
+    assert code == 2 and out == "" and "trials" in err
+
+
 def test_brace_census_cli(capsys):
     code, out, _ = run(capsys, "brace-census", "--n", "5", "--cyclomatic", "1")
     assert code == 0 and out == "DLo\n"

@@ -17,7 +17,10 @@ from zagreb import (
     s_n_k4,
     s_n_m,
 )
-from util import bf_connected, naive_em1
+from zagreb import _kernel
+from util import bf_connected, naive_em1, naive_em2, naive_m1, naive_m2
+
+NAIVE = {"m1": naive_m1, "m2": naive_m2, "em1": naive_em1, "em2": naive_em2}
 
 
 def test_enum_spec_validation():
@@ -48,6 +51,49 @@ def test_enumeration_matches_brute_force():
             enumerate_connected(spec, lambda g: got.add(g.edges))
             want = {g.edges for g in bf_connected(n, spec.m)}
             assert got == want, (n, c)
+
+
+def _column_mask(g):
+    # edge (u, v), u < v, has index v(v-1)/2 + u in column order
+    return sum(1 << (v * (v - 1) // 2 + u) for u, v in g.edges)
+
+
+def _edge_indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_walk_matches_brute_force(n):
+    # slices partition the walk, the walk is lexicographic in edge indices,
+    # and every kernel entry point agrees with brute force at every m
+    full = n * (n - 1) // 2
+    for m in range(full + 1):
+        graphs = {_column_mask(g): g for g in bf_connected(n, m)}
+        whole = []
+        assert _kernel.visit_connected(n, m, 0, None, whole.append) == len(whole)
+        assert sorted(whole) == sorted(graphs)
+        keys = [_edge_indices(mask) for mask in whole]
+        assert keys == sorted(keys)
+        if m:
+            parts = []
+            for i in range(full):
+                part = []
+                _kernel.visit_connected(n, m, i, i + 1, part.append)
+                assert all(_edge_indices(mask)[0] == i for mask in part)
+                parts += part
+            assert parts == whole
+        cores = [k for k, g in graphs.items() if all(g.degree(t) >= 2 for t in range(n))]
+        assert sorted(_kernel.census_masks(n, m)) == sorted(cores)
+        for index, naive in NAIVE.items():
+            values = {mask: naive(g) for mask, g in graphs.items()}
+            visited, lo, hi, lo_masks, hi_masks = _kernel.scan_extremal(n, m, index)
+            assert visited == len(graphs), (m, index)
+            if not graphs:
+                assert (lo, hi, lo_masks, hi_masks) == (None, None, [], [])
+                continue
+            assert (lo, hi) == (min(values.values()), max(values.values())), (m, index)
+            assert lo_masks == [k for k in whole if values[k] == lo], (m, index)
+            assert hi_masks == [k for k in whole if values[k] == hi], (m, index)
 
 
 def test_visitor_streams_valid_graphs():

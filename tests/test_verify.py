@@ -137,6 +137,17 @@ def test_lemma_corpus_row_counts_sites():
     assert rep.passed
 
 
+def test_lemma_trials_must_be_nonnegative():
+    with pytest.raises(GraphError, match="trials"):
+        verify_lemma("lemma-1", trials=-5, enum_max=4)
+    with pytest.raises(GraphError, match="trials"):
+        verify_mod.lemma_sweep(trials=-1, enum_max=4)
+    rep = verify_lemma("lemma-1", trials=0, enum_max=4)
+    assert rep.rows[1]["random_trials"] == 0
+    assert rep.rows[1]["corpus_size"] == 44  # connected graphs with n <= 4
+    assert rep.passed
+
+
 def test_lemma_sweep_matches_individual_runs():
     sweep = verify_mod.lemma_sweep(trials=30, seed=7, enum_max=5)
     assert set(sweep) == set(LEMMA_CLAIMS)
