@@ -178,12 +178,14 @@ def _cmd_verify(args) -> int:
         rep = verify_theorem(
             args.claim,
             ns=_parse_ns(args.n) if args.n else None,
-            workers=args.workers,
-            allow_large=args.allow_large,
+            workers=1 if args.workers is None else args.workers,
+            allow_large=bool(args.allow_large),
         )
-    elif args.n is not None:
-        raise GraphError(f"--n applies to theorem claims only, not {args.claim}")
     else:
+        for flag, value in (("--n", args.n), ("--workers", args.workers),
+                            ("--allow-large", args.allow_large)):
+            if value is not None:
+                raise GraphError(f"{flag} applies to theorem claims only, not {args.claim}")
         rep = verify_lemma(args.claim, trials=args.trials, seed=args.seed)
     with _out_stream(args.out) as fh:
         fh.write(rep.to_json() + "\n")
@@ -251,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="order N or range A..B (theorem claims)")
     p.add_argument("--trials", type=int, default=1000, help="random corpus size (lemma claims)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--workers", type=int, help="worker processes (theorem claims, default 1)")
+    p.add_argument("--allow-large", action="store_true", default=None,
+                   help="admit the n=9 tricyclic scan (theorem claims)")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_verify)
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 from . import _kernel
 from .canon import canonical_form
-from .graph import Graph, GraphError, _from_edges
-from .graph6 import edges_of_mask, encode_mask
+# perfbench/tracer.py wraps _from_edges in each module that imports it
+from .graph import GraphError, _from_edges  # noqa: F401
+from .graph6 import encode_mask, graph_of_mask
 from .indices import INDEX_IDS
 
 HARD_CAP = 9
@@ -115,10 +116,6 @@ class ExtremalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _graph_of(n: int, mask: int) -> Graph:
-    return _from_edges(n, edges_of_mask(n, mask))
-
-
 def _scan_slice(args):
     n, m, index, lo, hi = args
     return _kernel.scan_extremal(n, m, index, lo, hi)
@@ -194,7 +191,7 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
 
 
 def _canonical_classes(n: int, masks) -> tuple[tuple[str, ...], int]:
-    forms = {canonical_form(_graph_of(n, mask)) for mask in masks}
+    forms = {canonical_form(graph_of_mask(n, mask)) for mask in masks}
     return tuple(sorted(forms)), len(forms)
 
 
@@ -202,7 +199,7 @@ def enumerate_connected(spec: EnumSpec, visitor) -> int:
     """Stream every labeled connected (n, m) graph to visitor; return the count."""
     n = spec.n
     return _kernel.visit_connected(
-        n, spec.m, 0, None, lambda mask: visitor(_graph_of(n, mask))
+        n, spec.m, 0, None, lambda mask: visitor(graph_of_mask(n, mask))
     )
 
 
@@ -210,6 +207,4 @@ def brace_census(spec: EnumSpec) -> tuple[str, ...]:
     """Canonical forms of the enumerated graphs without pendant vertices."""
     if spec.c < 1:
         raise GraphError("a pendant-free census needs a cycle: c must be >= 1")
-    masks = _kernel.census_masks(spec.n, spec.m)
-    forms = {canonical_form(_graph_of(spec.n, mask)) for mask in masks}
-    return tuple(sorted(forms))
+    return _canonical_classes(spec.n, _kernel.census_masks(spec.n, spec.m))[0]

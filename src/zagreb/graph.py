@@ -71,12 +71,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _blessed(n: int, adj: list[set[int]], edges: list[tuple[int, int]]) -> Graph:
-    # Trusted fast path: callers guarantee consistency of adj/edges.
+def _blessed(n: int, adj: list[Iterable[int]], edges: tuple[tuple[int, int], ...]) -> Graph:
+    # Trusted fast path: callers guarantee consistent adj/edges, edges sorted.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
-    object.__setattr__(g, "_adj", tuple(frozenset(s) for s in adj))
-    object.__setattr__(g, "_edges", tuple(sorted(edges)))
+    object.__setattr__(g, "_adj", tuple(map(frozenset, adj)))
+    object.__setattr__(g, "_edges", edges)
     return g
 
 
@@ -88,7 +88,7 @@ def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
         es.append((u, v))
-    return _blessed(n, adj, es)
+    return _blessed(n, adj, tuple(sorted(es)))
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -121,7 +121,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
         es.append((u, v))
-    return _blessed(n, adj, es)
+    return _blessed(n, adj, tuple(sorted(es)))
 
 
 def degree(g: Graph, v: int) -> int:

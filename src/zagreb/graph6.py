@@ -6,11 +6,16 @@ into printable ASCII, after a size prefix N(n).  That column order is
 also the package-wide edge index order: edge (u, v) with u < v has index
 v*(v-1)/2 + u, and bit k of an integer mask stands for edge k.  The
 enumeration kernels and this codec therefore share one bit layout.
+
+Column v of a mask is its next run of v bits; their set bits are the
+lower neighbours of v.  graph_of_mask(), the package's one mask -> Graph
+builder, walks the columns once, with no table of pairs and no sort.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, _from_edges
+# perfbench/tracer.py wraps _from_edges in each module that imports it
+from .graph import Graph, GraphError, _blessed, _from_edges  # noqa: F401
 
 
 class Graph6Error(GraphError):
@@ -32,34 +37,36 @@ _REV6 = tuple(
 )
 
 
-def edge_index(u: int, v: int) -> int:
-    """Index of edge (u, v), u < v, in column order."""
-    if u > v:
-        u, v = v, u
-    return v * (v - 1) // 2 + u
-
-
 def edge_table(n: int) -> tuple[tuple[int, int], ...]:
     """All C(n,2) vertex pairs in column (index) order."""
     return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def mask_of_edges(edges) -> int:
-    mask = 0
-    for u, v in edges:
-        mask |= 1 << edge_index(u, v)
-    return mask
+def graph_of_mask(n: int, mask: int) -> Graph:
+    """Graph on n vertices with edge k present iff bit k of mask is set.
+
+    Row v gets its lower neighbours from column v; later columns append
+    the higher ones in ascending order, so edges come out lexicographic.
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]
+    lower = [0] * n
+    for v in range(1, n):
+        col = mask & ((1 << v) - 1)
+        mask >>= v
+        row = rows[v]
+        while col:
+            u = col.bit_length() - 1
+            col ^= 1 << u
+            row.append(u)
+            rows[u].append(v)
+        lower[v] = len(row)
+    edges = tuple([(u, v) for u in range(n) for v in rows[u][lower[u]:]])
+    return _blessed(n, rows, edges)
 
 
 def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
-    table = edge_table(n)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(table[low.bit_length() - 1])
-        mask ^= low
-    out.sort()
-    return out
+    """Edges (u, v), u < v, of an adjacency mask in lexicographic order."""
+    return list(graph_of_mask(n, mask).edges)
 
 
 def encode_mask(n: int, mask: int) -> str:
@@ -69,16 +76,11 @@ def encode_mask(n: int, mask: int) -> str:
     if n <= 62:
         head = chr(n + 63)
     else:
-        head = "~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0)
-        )
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     nbits = n * (n - 1) // 2
     if mask >> nbits:
         raise Graph6Error("adjacency mask has bits beyond the triangle")
-    data = []
-    for s in range(0, nbits, 6):
-        data.append(chr(63 + _REV6[(mask >> s) & 63]))
-    return head + "".join(data)
+    return head + "".join(chr(63 + _REV6[(mask >> s) & 63]) for s in range(0, nbits, 6))
 
 
 def decode_mask(text: str) -> tuple[int, int]:
@@ -91,10 +93,9 @@ def decode_mask(text: str) -> tuple[int, int]:
     line = text.rstrip("\n")
     if not line:
         raise Graph6Error("empty graph6 line")
-    for i, ch in enumerate(line):
-        b = ord(ch)
-        if b < 63 or b > 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", i)
+    if not ("?" <= min(line) and max(line) <= "~"):  # chr(63)..chr(126)
+        i = next(i for i, ch in enumerate(line) if not "?" <= ch <= "~")
+        raise Graph6Error(f"byte {ord(line[i])} outside graph6 range 63..126", i)
     if line[0] != "~":
         n = ord(line[0]) - 63
         body_at = 1
@@ -113,28 +114,23 @@ def decode_mask(text: str) -> tuple[int, int]:
     need = (nbits + 5) // 6
     got = len(line) - body_at
     if got < need:
-        raise Graph6Error(
-            f"need {need} adjacency bytes for n={n}, found {got}", len(line)
-        )
+        raise Graph6Error(f"need {need} adjacency bytes for n={n}, found {got}", len(line))
     if got > need:
         raise Graph6Error("trailing garbage after adjacency data", body_at + need)
     mask = 0
-    for j in range(need):
-        mask |= _REV6[ord(line[body_at + j]) - 63] << (6 * j)
+    for ch in reversed(line[body_at:]):
+        mask = (mask << 6) | _REV6[ord(ch) - 63]
     if mask >> nbits:
         extra = (mask >> nbits).bit_length() - 1 + nbits
-        raise Graph6Error(
-            f"padding bit {extra} is set", body_at + extra // 6
-        )
+        raise Graph6Error(f"padding bit {extra} is set", body_at + extra // 6)
     return n, mask
 
 
 def graph6_encode(g: Graph) -> str:
     """graph6 line for g (labeled, not canonicalized)."""
-    return encode_mask(g.n, mask_of_edges(g.edges))
+    return encode_mask(g.n, sum(1 << (v * (v - 1) // 2 + u) for u, v in g.edges))
 
 
 def graph6_decode(text: str) -> Graph:
     """Graph from one graph6 line."""
-    n, mask = decode_mask(text)
-    return _from_edges(n, edges_of_mask(n, mask))
+    return graph_of_mask(*decode_mask(text))

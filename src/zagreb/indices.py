@@ -13,21 +13,26 @@ from .graph import Graph, GraphError
 INDEX_IDS = ("m1", "m2", "em1", "em2")
 
 
+def _edge_degrees(g: Graph) -> list[int]:
+    # deg(u) + deg(v) - 2 for each edge uv, in g.edges order
+    deg = list(map(len, g._adj))
+    return [deg[u] + deg[v] - 2 for u, v in g._edges]
+
+
 def m1(g: Graph) -> int:
     """First Zagreb index: sum of squared vertex degrees."""
-    return sum(len(g.neighbors(v)) ** 2 for v in range(g.n))
+    return sum([d * d for d in map(len, g._adj)])
 
 
 def m2(g: Graph) -> int:
     """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    return sum(len(adj[u]) * len(adj[v]) for u, v in g.edges)
+    deg = list(map(len, g._adj))
+    return sum([deg[u] * deg[v] for u, v in g._edges])
 
 
 def em1(g: Graph) -> int:
     """First reformulated Zagreb index: sum of squared edge degrees."""
-    adj = [g.neighbors(v) for v in range(g.n)]
-    return sum((len(adj[u]) + len(adj[v]) - 2) ** 2 for u, v in g.edges)
+    return sum([d * d for d in _edge_degrees(g)])
 
 
 def em2(g: Graph) -> int:
@@ -35,19 +40,17 @@ def em2(g: Graph) -> int:
 
     Sum of deg(e)*deg(f) over unordered pairs of distinct adjacent edges,
     each pair counted once.  Two distinct edges of a simple graph share at
-    most one endpoint, so grouping the incident pairs per vertex counts
-    every adjacent pair exactly once.
+    most one endpoint, so with s(v) the sum of the degrees of the edges at
+    v, s(v)^2 is their squares plus twice the pairs at v, and
+    sum(s(v)^2) = 2*em1 + 2*em2 exactly.
     """
-    adj = [g.neighbors(v) for v in range(g.n)]
     s = [0] * g.n
-    q = [0] * g.n
-    for u, v in g.edges:
-        ed = len(adj[u]) + len(adj[v]) - 2
+    squares = 0
+    for (u, v), ed in zip(g._edges, _edge_degrees(g)):
         s[u] += ed
         s[v] += ed
-        q[u] += ed * ed
-        q[v] += ed * ed
-    return sum((s[v] * s[v] - q[v]) // 2 for v in range(g.n))
+        squares += ed * ed
+    return sum([x * x for x in s]) // 2 - squares
 
 
 INDEX_FUNCS = {"m1": m1, "m2": m2, "em1": em1, "em2": em2}

@@ -23,7 +23,7 @@ from .canon import canonical_form
 from .enumeration import EnumSpec, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
-from .graph6 import edges_of_mask, graph6_encode
+from .graph6 import graph6_encode, graph_of_mask
 from .rewrite import RewriteSpec, apply_rewrite, find_applicable
 
 THEOREM_CLAIMS = ("theorem-1", "theorem-2", "theorem-3", "theorem-4", "theorem-5")
@@ -224,7 +224,7 @@ def _iter_connected(n_max: int):
             masks: list[int] = []
             _kernel.visit_connected(n, m, 0, None, masks.append)
             for mask in masks:
-                yield _from_edges(n, edges_of_mask(n, mask))
+                yield graph_of_mask(n, mask)
 
 
 def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:

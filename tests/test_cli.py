@@ -164,6 +164,23 @@ def test_verify_lemma_bad_options_exit_2(capsys):
     assert code == 2 and out == "" and "trials" in err
 
 
+@pytest.mark.parametrize(
+    "extra", [("--workers", "2"), ("--workers", "1"), ("--allow-large",)]
+)
+def test_verify_lemma_rejects_theorem_options(capsys, extra):
+    # an explicit value is refused even when it equals the theorem default
+    code, out, err = run(capsys, "verify", "lemma-2", "--trials", "0", *extra)
+    assert code == 2 and out == ""
+    assert f"{extra[0]} applies to theorem claims only" in err
+
+
+def test_verify_theorem_accepts_explicit_options(capsys):
+    code, out, _ = run(
+        capsys, "verify", "theorem-1", "--n", "4", "--workers", "1", "--allow-large"
+    )
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_brace_census_cli(capsys):
     code, out, _ = run(capsys, "brace-census", "--n", "5", "--cyclomatic", "1")
     assert code == 0 and out == "DLo\n"

@@ -11,6 +11,7 @@ from zagreb import (
     path_graph,
     star_graph,
 )
+from zagreb.graph6 import edge_table, edges_of_mask, encode_mask, graph_of_mask
 from util import all_pairs, bf_connected_all_m, random_graph
 
 K4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -98,3 +99,65 @@ def test_column_bit_order():
         width = 6 * len(payload)
         assert bits >> (width - 1 - k) & 1 == 1
         assert bits.bit_count() == 1
+
+
+def _slow_graph(n, mask):
+    # independent reference: table lookup of each set bit, validated build
+    table = edge_table(n)
+    return make_graph(n, [table[k] for k in range(len(table)) if mask >> k & 1])
+
+
+def _builder_cases():
+    for n in range(1, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            yield n, mask
+    rng = random.Random(406)
+    # 62/63/64 straddle the 1-byte / 4-byte size prefix
+    for n in (7, 12, 40, 62, 63, 64, 300):
+        nbits = n * (n - 1) // 2
+        yield n, rng.getrandbits(nbits)
+        yield n, sum(1 << k for k in rng.sample(range(nbits), n))
+        yield n, (1 << nbits) - 1 - (1 << rng.randrange(nbits))
+
+
+def test_mask_builder_matches_table_lookup():
+    for n, mask in _builder_cases():
+        ref = _slow_graph(n, mask)
+        assert edges_of_mask(n, mask) == list(ref.edges)
+        for g in (graph_of_mask(n, mask), graph6_decode(encode_mask(n, mask))):
+            # Graph.__eq__ compares n and edges only; check the adjacency too
+            assert g.n == ref.n and g.edges == ref.edges, (n, mask)
+            for v in range(n):
+                assert g.neighbors(v) == ref.neighbors(v), (n, mask, v)
+
+
+@pytest.mark.parametrize("bad", ["é", "\U0001F600", chr(62), chr(127)])
+@pytest.mark.parametrize(
+    "line, at",
+    [
+        ("{}hC", 0),  # size byte
+        ("~?{}?", 2),  # inside the extended size prefix
+        ("KhCGGC{}?G?_@", 6),  # mid-data
+    ],
+)
+def test_decode_reports_first_bad_byte(bad, line, at):
+    with pytest.raises(Graph6Error) as exc:
+        graph6_decode(line.format(bad))
+    assert str(exc.value) == f"byte {ord(bad)} outside graph6 range 63..126 (byte {at})"
+    assert exc.value.position == at
+
+
+# the last two lines hold two offenders each; the first is reported
+@pytest.mark.parametrize(
+    "line, message, position",
+    [
+        ("Cé", "byte 233 outside graph6 range 63..126 (byte 1)", 1),
+        ("~?\x7f?", "byte 127 outside graph6 range 63..126 (byte 2)", 2),
+        ("D\x7fé", "byte 127 outside graph6 range 63..126 (byte 1)", 1),
+        ("C~é?>", "byte 233 outside graph6 range 63..126 (byte 2)", 2),
+    ],
+)
+def test_decode_reports_pinned_bad_byte(line, message, position):
+    with pytest.raises(Graph6Error) as exc:
+        graph6_decode(line)
+    assert str(exc.value) == message and exc.value.position == position

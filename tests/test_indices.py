@@ -14,9 +14,11 @@ from zagreb import (
     m2,
     make_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
 from util import (
+    all_pairs,
     bf_connected_all_m,
     naive_em1,
     naive_em2,
@@ -86,3 +88,25 @@ def test_index_is_relabeling_invariant():
         h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         for ident in INDEX_IDS:
             assert compute_index(g, ident) == compute_index(h, ident)
+
+
+def _compute_sized_graphs():
+    # sparse graphs up to n = 40 and dense ones, as `zagreb compute` sees
+    rng = random.Random(4040)
+    for _ in range(60):
+        yield random_connected_graph(rng, 4, 40)
+    for _ in range(20):
+        # a random spanning tree plus each remaining pair with probability 1/2
+        base = random_connected_graph(rng, 6, 16)
+        have = set(base.edges)
+        extra = [e for e in all_pairs(base.n) if e not in have and rng.random() < 0.5]
+        yield make_graph(base.n, list(have) + extra)
+
+
+def test_indices_at_compute_sizes():
+    for g in _compute_sized_graphs():
+        assert m1(g) == naive_m1(g)
+        assert m2(g) == naive_m2(g)
+        lg = line_graph(g)
+        assert em1(g) == m1(lg)
+        assert em2(g) == m2(lg)
