@@ -19,12 +19,13 @@ def _refine_colors(g: Graph) -> list[int]:
     # Iterated neighborhood refinement starting from degrees.  Color ids are
     # assigned by sorting signature tuples, so their order is an isomorphism
     # invariant (inductively: degrees are, and so is each refinement round).
-    colors = [len(g.neighbors(v)) for v in range(g.n)]
+    adj = g._adj
+    colors = list(map(len, adj))
     rank = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
             for v in range(g.n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -53,7 +54,7 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
         block_of.extend([color] * colors.count(color))
 
     nbits = n * (n - 1) // 2
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = g._adj
     placed: list[int] = []
     used = [False] * n
     best: int | None = None

@@ -34,7 +34,7 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return _from_edges(n, sorted(tuple(sorted(e)) for e in edges))
+    return _from_edges(n, [tuple(sorted(e)) for e in edges])
 
 
 def s_n_m(n: int, m: int) -> Graph:
@@ -55,7 +55,7 @@ def s_n_m(n: int, m: int) -> Graph:
         )
     edges = [(0, v) for v in range(1, n)]
     edges += [(1, v) for v in range(2, 2 + extra)]
-    return _from_edges(n, sorted(edges))
+    return _from_edges(n, edges)
 
 
 def s_n_k4(n: int) -> Graph:
@@ -64,7 +64,7 @@ def s_n_k4(n: int) -> Graph:
         raise GraphError(f"s_n_k4 needs n >= 4, got {n}")
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges += [(0, v) for v in range(4, n)]
-    return _from_edges(n, sorted(edges))
+    return _from_edges(n, edges)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """The four degree-shifting rewrites.
 
-Each operation validates its site, then returns a fresh graph with the
-first reformulated index before and after and a map from old labels to
-new ones for the vertices that survive.  Operations I, II and IV push
-that index strictly up; operation III pulls it strictly down.
-find_applicable lists every valid site so property sweeps can cover
-whole corpora.
+Each operation validates its arguments as vertices, then checks its site
+by reading the adjacency sets directly, and returns a fresh graph, built
+once, with the first reformulated index before and after and a map from
+old labels to new ones for the vertices that survive.  Operations I, II
+and IV push that index strictly up; operation III pulls it strictly
+down.  find_applicable lists every valid site, reading the adjacency the
+same way, so property sweeps can cover whole corpora.
 
 Two site conditions here are stricter than the loosest reading of the
 construction sketches they come from: operation II requires the two
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, _drop_vertices, _from_edges
+from .graph import Graph, GraphError, _from_edges
 from .indices import em1
 
 KINDS = ("I", "II", "III", "IV")
@@ -69,15 +70,16 @@ def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
     """Move every pendant neighbor of u onto its neighbor v."""
     _vertex(g, u, "u")
     _vertex(g, v, "v")
-    if not g.has_edge(u, v):
+    adj = g._adj
+    if v not in adj[u]:
         raise RewriteError(f"operation I: ({u},{v}) is not an edge")
-    if g.degree(v) < 2:
-        raise RewriteError(f"operation I: v={v} needs degree >= 2, has {g.degree(v)}")
+    if len(adj[v]) < 2:
+        raise RewriteError(f"operation I: v={v} needs degree >= 2, has {len(adj[v])}")
     pendants = []
-    for w in g.neighbors(u):
+    for w in adj[u]:
         if w == v:
             continue
-        if g.degree(w) != 1:
+        if len(adj[w]) != 1:
             raise RewriteError(
                 f"operation I: neighbor {w} of u={u} is neither v nor a pendant"
             )
@@ -92,7 +94,7 @@ def _move_pendants(g: Graph, pendants, target: int) -> RewriteResult:
     moved = set(pendants)
     edges = [e for e in g.edges if e[0] not in moved and e[1] not in moved]
     edges += [(min(target, w), max(target, w)) for w in pendants]
-    after = _from_edges(g.n, sorted(edges))
+    after = _from_edges(g.n, edges)
     return RewriteResult(after, em1(g), em1(after), {t: t for t in range(g.n)})
 
 
@@ -110,19 +112,20 @@ def operation_ii(g: Graph, path) -> RewriteResult:
         _vertex(g, x, "path vertex")
     if len(set(p)) != len(p):
         raise RewriteError("operation II: path repeats a vertex")
+    adj = g._adj
     for a, b in zip(p, p[1:]):
-        if not g.has_edge(a, b):
+        if b not in adj[a]:
             raise RewriteError(f"operation II: ({a},{b}) is not an edge")
     for w in p[1:-1]:
-        if g.degree(w) != 2:
+        if len(adj[w]) != 2:
             raise RewriteError(
-                f"operation II: interior {w} has degree {g.degree(w)}, needs exactly 2"
+                f"operation II: interior {w} has degree {len(adj[w])}, needs exactly 2"
             )
     u, v = p[0], p[-1]
-    if g.has_edge(u, v):
+    if v in adj[u]:
         raise RewriteError(f"operation II: endpoints {u} and {v} are adjacent")
-    off_u = set(g.neighbors(u)) - {p[1]}
-    off_v = set(g.neighbors(v)) - {p[-2]}
+    off_u = adj[u] - {p[1]}
+    off_v = adj[v] - {p[-2]}
     if len(off_u) < 2 or len(off_v) < 2:
         raise RewriteError(
             "operation II: each endpoint needs >= 2 neighbors off the path"
@@ -154,7 +157,7 @@ def operation_ii(g: Graph, path) -> RewriteResult:
             edges.append((remap[a], remap[b]))
     edges += [(remap[t], w_new) for t in p[1:-1]]
     edges.append((w_new, fresh))
-    after = _from_edges(g.n, sorted(edges))
+    after = _from_edges(g.n, edges)
     relabel = dict(remap)
     relabel[u] = w_new
     relabel[v] = w_new
@@ -179,18 +182,20 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     y = _vertex(g, reattach, "reattach")
     if y in s:
         raise RewriteError(f"operation III: reattach {y} lies inside the subtree")
-    if not g.has_edge(root, y):
+    adj = g._adj
+    if y not in adj[root]:
         raise RewriteError(f"operation III: ({root},{y}) is not an edge")
     inner = 0
     for x in s:
-        for w in g.neighbors(x):
+        for w in adj[x]:
             if w in s:
                 inner += 1
             elif w != root:
                 raise RewriteError(
                     f"operation III: subtree vertex {x} touches {w} outside it"
                 )
-    edge_count = inner // 2 + sum(1 for x in g.neighbors(root) if x in s)
+    ties = len(adj[root] & s)
+    edge_count = inner // 2 + ties
     if edge_count != len(s):
         raise RewriteError(
             "operation III: subtree plus root must induce a tree "
@@ -201,28 +206,34 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     stack = [root]
     while stack:
         x = stack.pop()
-        for w in g.neighbors(x):
+        for w in adj[x]:
             if (w in s or w == root) and w not in seen:
                 seen.add(w)
                 stack.append(w)
     if len(seen) != len(s) + 1:
         raise RewriteError("operation III: subtree plus root must induce a tree")
-    outside = [w for w in g.neighbors(root) if w not in s]
-    if len(outside) < 2:
+    outside = len(adj[root]) - ties
+    if outside < 2:
         raise RewriteError(
             f"operation III: root {root} needs >= 2 neighbors outside the subtree, "
-            f"has {len(outside)}"
+            f"has {outside}"
         )
 
-    sub, remap = _drop_vertices(g, s)
-    r, yy = remap[root], remap[y]
-    cut = (min(r, yy), max(r, yy))
-    edges = [e for e in sub.edges if e != cut]
-    chain = list(range(sub.n, sub.n + len(s)))
-    stops = [r] + chain + [yy]
+    # kept vertices compact to 0..n-k-1 in order; the chain takes n-k..n-1
+    remap = {}
+    for t in range(g.n):
+        if t not in s:
+            remap[t] = len(remap)
+    cut = (min(root, y), max(root, y))
+    edges = [
+        (remap[a], remap[b])
+        for a, b in g.edges
+        if a not in s and b not in s and (a, b) != cut
+    ]
+    stops = [remap[root], *range(len(remap), g.n), remap[y]]
     edges += [(min(a, b), max(a, b)) for a, b in zip(stops, stops[1:])]
-    after = _from_edges(g.n, sorted(edges))
-    return RewriteResult(after, em1(g), em1(after), dict(remap))
+    after = _from_edges(g.n, edges)
+    return RewriteResult(after, em1(g), em1(after), remap)
 
 
 def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
@@ -231,12 +242,13 @@ def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
     _vertex(g, v, "v")
     if u == v:
         raise RewriteError("operation IV: u and v must differ")
-    if g.has_edge(u, v):
+    adj = g._adj
+    if v in adj[u]:
         raise RewriteError(f"operation IV: {u} and {v} must not be adjacent")
-    core_u = {w for w in g.neighbors(u) if g.degree(w) > 1}
-    core_v = {w for w in g.neighbors(v) if g.degree(w) > 1}
-    pend_u = [w for w in g.neighbors(u) if g.degree(w) == 1]
-    pend_v = [w for w in g.neighbors(v) if g.degree(w) == 1]
+    core_u = {w for w in adj[u] if len(adj[w]) > 1}
+    core_v = {w for w in adj[v] if len(adj[w]) > 1}
+    pend_u = [w for w in adj[u] if len(adj[w]) == 1]
+    pend_v = [w for w in adj[v] if len(adj[w]) == 1]
     if not core_v:
         raise RewriteError(f"operation IV: v={v} has no non-pendant neighbor")
     if not core_v <= core_u:
@@ -291,57 +303,59 @@ def find_applicable(g: Graph, kind: str) -> list[RewriteSpec]:
 
 
 def _sites_i(g: Graph) -> list[RewriteSpec]:
+    adj = g._adj
     out = []
     for u in range(g.n):
-        nb = g.neighbors(u)
+        nb = adj[u]
         if len(nb) < 2:
             continue
-        anchors = [w for w in nb if g.degree(w) > 1]
+        anchors = [w for w in nb if len(adj[w]) > 1]
         if len(anchors) == 1:
             out.append(RewriteSpec(kind="I", u=u, v=anchors[0]))
     return out
 
 
-def _walk_chain(g: Graph, start: int, first: int):
+def _walk_chain(adj, start: int, first: int):
     # follow degree-2 vertices from start towards first; returns the interior
     # run plus the flanking vertex, or None when the walk loops back to start
     prev, cur, run = start, first, []
-    while g.degree(cur) == 2:
+    while len(adj[cur]) == 2:
         if cur == start:
             return None
         run.append(cur)
-        prev, cur = cur, next(x for x in g.neighbors(cur) if x != prev)
+        prev, cur = cur, next(x for x in adj[cur] if x != prev)
     run.append(cur)
     return run
 
 
 def _sites_ii(g: Graph) -> list[RewriteSpec]:
+    adj = g._adj
     out = []
     used = set()
     for w in range(g.n):
-        if g.degree(w) != 2 or w in used:
+        if len(adj[w]) != 2 or w in used:
             continue
-        left_first, right_first = sorted(g.neighbors(w))
-        left = _walk_chain(g, w, left_first)
+        left_first, right_first = sorted(adj[w])
+        left = _walk_chain(adj, w, left_first)
         if left is None:
             # a cycle component of degree-2 vertices: mark it all consumed
             used.add(w)
             prev, cur = w, left_first
             while cur != w:
                 used.add(cur)
-                prev, cur = cur, next(x for x in g.neighbors(cur) if x != prev)
+                prev, cur = cur, next(x for x in adj[cur] if x != prev)
             continue
-        right = _walk_chain(g, w, right_first)
+        right = _walk_chain(adj, w, right_first)
         a, b = left[-1], right[-1]
         interior = list(reversed(left[:-1])) + [w] + right[:-1]
         used.update(interior)
         if a == b:
             continue
-        if g.degree(a) < 3 or g.degree(b) < 3 or g.has_edge(a, b):
+        if len(adj[a]) < 3 or len(adj[b]) < 3 or b in adj[a]:
             continue
         path = [a] + interior + [b]
-        off_a = set(g.neighbors(a)) - {path[1]}
-        off_b = set(g.neighbors(b)) - {path[-2]}
+        off_a = adj[a] - {path[1]}
+        off_b = adj[b] - {path[-2]}
         if off_a & off_b:
             continue
         if a > b:
@@ -351,11 +365,11 @@ def _sites_ii(g: Graph) -> list[RewriteSpec]:
     return out
 
 
-def _hanging_trees(g: Graph, root: int) -> list[tuple[int, ...]]:
+def _hanging_trees(adj, root: int) -> list[tuple[int, ...]]:
     # components of g minus root that are trees tied to root by exactly one edge
     seen = {root}
     comps = []
-    for t in range(g.n):
+    for t in range(len(adj)):
         if t in seen:
             continue
         comp = [t]
@@ -363,14 +377,14 @@ def _hanging_trees(g: Graph, root: int) -> list[tuple[int, ...]]:
         stack = [t]
         while stack:
             x = stack.pop()
-            for y in g.neighbors(x):
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     comp.append(y)
                     stack.append(y)
         cset = set(comp)
-        inner = sum(1 for x in comp for y in g.neighbors(x) if y in cset) // 2
-        ties = sum(1 for x in g.neighbors(root) if x in cset)
+        inner = sum(len(adj[x] & cset) for x in comp) // 2
+        ties = len(adj[root] & cset)
         if inner == len(comp) - 1 and ties == 1:
             comps.append(tuple(sorted(comp)))
     comps.sort()
@@ -378,12 +392,13 @@ def _hanging_trees(g: Graph, root: int) -> list[tuple[int, ...]]:
 
 
 def _sites_iii(g: Graph) -> list[RewriteSpec]:
+    adj = g._adj
     out = []
     for root in range(g.n):
-        deg_r = g.degree(root)
+        deg_r = len(adj[root])
         if deg_r < 3:
             continue  # one edge feeds the subtree, two must stay outside
-        comps = _hanging_trees(g, root)
+        comps = _hanging_trees(adj, root)
         k = len(comps)
         for pick in range(1, 1 << k):
             chosen = [comps[i] for i in range(k) if pick >> i & 1]
@@ -391,7 +406,7 @@ def _sites_iii(g: Graph) -> list[RewriteSpec]:
                 continue
             s = sorted(x for comp in chosen for x in comp)
             sset = set(s)
-            for y in sorted(g.neighbors(root)):
+            for y in sorted(adj[root]):
                 if y not in sset:
                     out.append(
                         RewriteSpec(
@@ -402,17 +417,16 @@ def _sites_iii(g: Graph) -> list[RewriteSpec]:
 
 
 def _sites_iv(g: Graph) -> list[RewriteSpec]:
-    pend = [g.degree(t) == 1 for t in range(g.n)]
-    core = [
-        frozenset(w for w in g.neighbors(t) if not pend[w]) for t in range(g.n)
-    ]
-    pend_ct = [sum(1 for w in g.neighbors(t) if pend[w]) for t in range(g.n)]
+    adj = g._adj
+    pend = [len(nb) == 1 for nb in adj]
+    core = [frozenset(w for w in nb if not pend[w]) for nb in adj]
+    pend_ct = [len(nb) - len(c) for nb, c in zip(adj, core)]
+    # only a vertex with pendants and a core can give its pendants away
+    donors = [v for v in range(g.n) if pend_ct[v] and core[v]]
     out = []
     for u in range(g.n):
-        for v in range(g.n):
-            if u == v or g.has_edge(u, v):
-                continue
-            if not pend_ct[v] or not core[v] or not core[v] <= core[u]:
+        for v in donors:
+            if u == v or v in adj[u] or not core[v] <= core[u]:
                 continue
             if len(core[u]) == len(core[v]) and not pend_ct[u]:
                 continue

@@ -1,15 +1,18 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from zagreb import (
+    KINDS,
     RewriteError,
     RewriteSpec,
     apply_rewrite,
     cyclomatic_number,
     em1,
     find_applicable,
+    graph6_encode,
     is_connected,
     make_graph,
     operation_i,
@@ -17,9 +20,10 @@ from zagreb import (
     operation_iii,
     operation_iv,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
-from util import bf_connected_all_m, naive_em1
+from util import bf_connected_all_m, naive_em1, relabeled
 
 TRIANGLE_PENDANT = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 TWO_TRIANGLES_BRIDGED = make_graph(
@@ -281,3 +285,89 @@ def test_find_applicable_sites_are_deterministically_ordered():
     for kind in ("I", "II", "III", "IV"):
         twice = [find_applicable(g, kind) for _ in range(2)]
         assert twice[0] == twice[1]
+
+
+def test_find_applicable_is_relabeling_equivariant():
+    # sites of a relabeled graph are the images of the original sites, and
+    # each moves em1 by the same amount
+    def image(spec, perm):
+        if spec.kind == "II":
+            path = tuple(perm[x] for x in spec.path)
+            return ("II", path if path[0] < path[-1] else path[::-1])
+        if spec.kind == "III":
+            sub = tuple(sorted(perm[x] for x in spec.subtree))
+            return ("III", perm[spec.root], sub, perm[spec.reattach])
+        return (spec.kind, perm[spec.u], perm[spec.v])
+
+    def spec_of(key):
+        if key[0] == "II":
+            return RewriteSpec(kind="II", path=key[1])
+        if key[0] == "III":
+            return RewriteSpec(kind="III", root=key[1], subtree=key[2], reattach=key[3])
+        return RewriteSpec(kind=key[0], u=key[1], v=key[2])
+
+    def delta(g, spec):
+        res = apply_rewrite(g, spec)
+        return res.em1_after - res.em1_before
+
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_connected_graph(rng, n_min=4, n_max=9)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabeled(g, perm)
+        for kind in KINDS:
+            mapped = {image(s, perm): delta(g, s) for s in find_applicable(g, kind)}
+            found = {image(s, range(h.n)): s for s in find_applicable(h, kind)}
+            assert set(mapped) == set(found), (kind, g.edges, perm)
+            for key, d in mapped.items():
+                assert delta(h, spec_of(key)) == d, (key, g.edges, perm)
+
+
+# --- pinned behaviour of the whole rewrite layer ------------------------
+
+# sha256 of every (graph, spec) outcome below: result graph6, em1 before and
+# after, relabel map, or the RewriteError text; 400,427 cases
+GRID_SHA256 = "5269c4c4b58bb0cc1ec210cf0c0ef9073b8a0ca0c2255f2da3f6c74ac4000744"
+
+
+def _grid_specs(g):
+    n = g.n
+    ends = range(-1, n + 1)
+    for kind in ("I", "IV"):
+        for u in ends:
+            for v in ends:
+                yield RewriteSpec(kind=kind, u=u, v=v)
+    for path in permutations(range(n), 3):
+        yield RewriteSpec(kind="II", path=path)
+    for root in range(n):
+        for size in (1, 2):
+            for sub in combinations(range(n), size):
+                for y in range(n):
+                    yield RewriteSpec(kind="III", root=root, subtree=sub, reattach=y)
+    for kind in KINDS:
+        yield from find_applicable(g, kind)
+
+
+def test_rewrite_grid_pinned():
+    # every connected labeled graph with n <= 5: I and IV at every (u, v),
+    # out-of-range ends included, II on every ordered vertex triple, III at
+    # every (root, 1- or 2-vertex subtree, reattach), plus every found site
+    digest = hashlib.sha256()
+    cases = 0
+    for n in range(1, 6):
+        for g in bf_connected_all_m(n):
+            head = graph6_encode(g)
+            for spec in _grid_specs(g):
+                try:
+                    res = apply_rewrite(g, spec)
+                    out = (
+                        f"{graph6_encode(res.graph)} {res.em1_before} {res.em1_after} "
+                        f"{sorted(res.relabel.items())}"
+                    )
+                except RewriteError as exc:
+                    out = f"! {exc}"
+                digest.update(f"{head} {spec.params()} {out}\n".encode())
+                cases += 1
+    assert cases == 400_427
+    assert digest.hexdigest() == GRID_SHA256
