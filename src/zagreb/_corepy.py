@@ -15,35 +15,33 @@ loop at lastg + min(component maxima); at the last position a frame
 with more than two components yields nothing, and with two only the
 edges joining them complete a connected graph.
 
+Each connected leaf is handed on as its mask, the live degree list and
+the chosen edge pairs.  scan_extremal scores it with the index's one
+definition, indices.FROM_DEGREES, so this module holds no index formula.
+
 The compiled kernel in _corecy.pyx keeps the same visiting order, slices
 and return values; the test suite compares the two.
 """
 
 from __future__ import annotations
 
+from . import indices
 from .graph6 import edge_table
-
-_KINDS = ("m1", "m2", "em1", "em2")
-
-
-def _prep(n: int):
-    table = edge_table(n)
-    U = [e[0] for e in table]
-    V = [e[1] for e in table]
-    return len(table), U, V
 
 
 def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
     """Run the DFS; call on_leaf(mask, deg, sel) per connected subset.
 
-    on_leaf gets the live degree list and chosen-edge-index list; it must
-    not keep references to them.  Returns the number of connected subsets
+    on_leaf gets the live degree list and the list of chosen edge pairs
+    (u, v), in the form indices.FROM_DEGREES takes; it must not keep
+    references to them.  Returns the number of connected subsets
     delivered.  The first-edge index is restricted to [lo, hi) so that
     disjoint ranges partition the work.
     """
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
-    E, U, V = _prep(n)
+    P = edge_table(n)
+    E = len(P)
     if hi is None or hi > E:
         hi = E
     if m == 0:
@@ -55,7 +53,7 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
         return 0
 
     deg = [0] * n
-    sel = [0] * m
+    sel = [(0, 0)] * m
     root = [0] * n
     lastg = E - (n - 1)  # index of the first edge into vertex n-1
     last = m - 1
@@ -67,11 +65,9 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
         root[:] = range(n)
         comps = n
         for jj in range(depth):
-            j = sel[jj]
-            a = U[j]
+            a, b = sel[jj]
             while root[a] != a:
                 a = root[a]
-            b = V[j]
             while root[b] != b:
                 b = root[b]
             if a != b:
@@ -102,13 +98,13 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
                 if end > cap:
                     end = cap
         for i in range(start, end):
-            u = U[i]
-            v = V[i]
+            p = P[i]
+            u, v = p
             if join and root[u] == root[v]:
                 continue
             deg[u] += 1
             deg[v] += 1
-            sel[at] = i
+            sel[at] = p
             if leaf:
                 visited += 1
                 on_leaf(mask | 1 << i, deg, sel)
@@ -127,48 +123,13 @@ def scan_extremal(n: int, m: int, index: str, lo: int = 0, hi: int | None = None
     Returns (visited, min_value, max_value, min_masks, max_masks); the
     None/empty variant when the range [lo, hi) contains no graph.
     """
-    if index not in _KINDS:
-        raise ValueError(f"unknown index {index!r}")
-    E, U, V = _prep(n)
+    try:
+        value = indices.FROM_DEGREES[index]
+    except KeyError:
+        raise ValueError(f"unknown index {index!r}") from None
     state = {"min": None, "max": None}
     min_masks: list[int] = []
     max_masks: list[int] = []
-
-    if index == "em1":
-
-        def value(deg, sel):
-            t = 0
-            for j in sel:
-                t += (deg[U[j]] + deg[V[j]] - 2) ** 2
-            return t
-
-    elif index == "m1":
-
-        def value(deg, sel):
-            return sum(d * d for d in deg)
-
-    elif index == "m2":
-
-        def value(deg, sel):
-            t = 0
-            for j in sel:
-                t += deg[U[j]] * deg[V[j]]
-            return t
-
-    else:  # em2: group incident edge pairs per shared endpoint
-
-        def value(deg, sel):
-            s = [0] * n
-            q = [0] * n
-            for j in sel:
-                u = U[j]
-                v = V[j]
-                ed = deg[u] + deg[v] - 2
-                s[u] += ed
-                s[v] += ed
-                q[u] += ed * ed
-                q[v] += ed * ed
-            return sum((s[t] * s[t] - q[t]) // 2 for t in range(n))
 
     def on_leaf(mask, deg, sel):
         val = value(deg, sel)
@@ -187,7 +148,7 @@ def scan_extremal(n: int, m: int, index: str, lo: int = 0, hi: int | None = None
         elif val == mx:
             max_masks.append(mask)
 
-    visited = _driver(n, m, lo, E if hi is None else hi, on_leaf)
+    visited = _driver(n, m, lo, hi, on_leaf)
     return visited, state["min"], state["max"], min_masks, max_masks
 
 

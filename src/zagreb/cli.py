@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .enumeration import EnumSpec, brace_census, extremal_scan
+from .enumeration import HARD_CAP, EnumSpec, brace_census, extremal_scan
 from .families import CONSTRUCTORS, s_n_m
 from .graph import GraphError
 from .graph6 import Graph6Error, graph6_decode, graph6_encode
@@ -29,7 +29,8 @@ def _out_stream(path):
     return open(path, "w", encoding="utf-8")
 
 
-def _parse_ns(text: str) -> list[int]:
+def _parse_ns(text: str) -> range:
+    # a range, so that an oversized A..B is never materialized
     t = text.strip()
     try:
         if ".." in t:
@@ -40,7 +41,7 @@ def _parse_ns(text: str) -> list[int]:
         raise GraphError(f"bad order range {text!r}, use N or A..B") from None
     if hi < lo:
         raise GraphError(f"empty order range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _parse_vertex_list(text: str, flag: str) -> tuple[int, ...]:
@@ -175,9 +176,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.claim in THEOREM_CLAIMS:
+        ns = _parse_ns(args.n) if args.n else None
+        if ns and ns[-1] > HARD_CAP:
+            first = max(ns[0], HARD_CAP + 1)
+            raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={first}")
         rep = verify_theorem(
             args.claim,
-            ns=_parse_ns(args.n) if args.n else None,
+            ns=ns,
             workers=1 if args.workers is None else args.workers,
             allow_large=bool(args.allow_large),
         )

@@ -165,20 +165,6 @@ def pendant_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if len(g._adj[v]) == 1)
 
 
-def _drop_vertices(g: Graph, drop: set[int]) -> tuple[Graph, dict[int, int]]:
-    # Order-preserving compaction of the kept vertices; returns (graph, old->new).
-    keep = [v for v in range(g.n) if v not in drop]
-    if not keep:
-        raise GraphError("cannot drop every vertex")
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g._edges
-        if u not in drop and v not in drop
-    ]
-    return _from_edges(len(keep), edges), relabel
-
-
 def brace(g: Graph) -> Graph:
     """Delete degree-1 vertices repeatedly until none remain.
 
@@ -204,8 +190,9 @@ def brace(g: Graph) -> Graph:
         raise GraphError("brace is empty: the graph is acyclic")
     if any(deg[v] < 2 for v in alive):
         raise GraphError("brace undefined: some component carries no cycle")
-    result, _ = _drop_vertices(g, set(range(g.n)) - alive)
-    return result
+    remap = {t: i for i, t in enumerate(sorted(alive))}
+    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
+    return _from_edges(len(remap), edges)
 
 
 def fuse(g: Graph, u: int, v: int) -> Graph:
@@ -221,11 +208,11 @@ def fuse(g: Graph, u: int, v: int) -> Graph:
         raise GraphError("cannot fuse a vertex with itself")
     if g.has_edge(u, v):
         raise GraphError(f"cannot fuse adjacent vertices ({u}, {v})")
-    sub, relabel = _drop_vertices(g, {u, v})
-    w = sub.n  # fused vertex label in the result
-    merged = (g._adj[u] | g._adj[v]) - {u, v}
-    edges = list(sub._edges) + [(relabel[x], w) for x in sorted(merged)]
-    return _from_edges(sub.n + 1, edges)
+    remap = {t: i for i, t in enumerate(t for t in range(g.n) if t != u and t != v)}
+    w = g.n - 2
+    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
+    edges += [(remap[x], w) for x in g._adj[u] | g._adj[v]]
+    return _from_edges(w + 1, edges)
 
 
 def line_graph(g: Graph) -> Graph:

@@ -64,11 +64,6 @@ def graph_of_mask(n: int, mask: int) -> Graph:
     return _blessed(n, rows, edges)
 
 
-def edges_of_mask(n: int, mask: int) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, of an adjacency mask in lexicographic order."""
-    return list(graph_of_mask(n, mask).edges)
-
-
 def encode_mask(n: int, mask: int) -> str:
     """graph6 line for the adjacency mask of an n-vertex graph."""
     if n < 1 or n > _MAX_N:

@@ -4,6 +4,12 @@ The vertex forms sum over vertices/edges of the graph itself; the edge
 ("reformulated") forms do the same on edge degrees, where the degree of
 an edge uv is deg(u) + deg(v) - 2.  Equivalently, em1 and em2 are m1 and
 m2 of the line graph; the test suite holds the package to that identity.
+
+This module is the package's one definition of each index.  Each formula
+is a function of a degree list and a list of edge pairs (u, v), listed in
+FROM_DEGREES.  The Graph API below feeds it a graph's degrees and edges;
+the pure enumeration kernel feeds it the live degrees and chosen pairs
+at every leaf of its walk.
 """
 
 from __future__ import annotations
@@ -13,44 +19,67 @@ from .graph import Graph, GraphError
 INDEX_IDS = ("m1", "m2", "em1", "em2")
 
 
-def _edge_degrees(g: Graph) -> list[int]:
-    # deg(u) + deg(v) - 2 for each edge uv, in g.edges order
-    deg = list(map(len, g._adj))
-    return [deg[u] + deg[v] - 2 for u, v in g._edges]
+def _m1(deg, edges) -> int:
+    t = 0
+    for d in deg:
+        t += d * d
+    return t
+
+
+def _m2(deg, edges) -> int:
+    t = 0
+    for u, v in edges:
+        t += deg[u] * deg[v]
+    return t
+
+
+def _em1(deg, edges) -> int:
+    t = 0
+    for u, v in edges:
+        ed = deg[u] + deg[v] - 2
+        t += ed * ed
+    return t
+
+
+def _em2(deg, edges) -> int:
+    # Two distinct edges of a simple graph share at most one endpoint, so
+    # with s(v) the sum of the degrees of the edges at v, s(v)^2 is their
+    # squares plus twice the pairs at v: sum(s(v)^2) = 2*em1 + 2*em2.
+    s = [0] * len(deg)
+    squares = 0
+    for u, v in edges:
+        ed = deg[u] + deg[v] - 2
+        s[u] += ed
+        s[v] += ed
+        squares += ed * ed
+    return sum([x * x for x in s]) // 2 - squares
+
+
+FROM_DEGREES = {"m1": _m1, "m2": _m2, "em1": _em1, "em2": _em2}
 
 
 def m1(g: Graph) -> int:
     """First Zagreb index: sum of squared vertex degrees."""
-    return sum([d * d for d in map(len, g._adj)])
+    return _m1(list(map(len, g._adj)), g._edges)
 
 
 def m2(g: Graph) -> int:
     """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
-    deg = list(map(len, g._adj))
-    return sum([deg[u] * deg[v] for u, v in g._edges])
+    return _m2(list(map(len, g._adj)), g._edges)
 
 
 def em1(g: Graph) -> int:
     """First reformulated Zagreb index: sum of squared edge degrees."""
-    return sum([d * d for d in _edge_degrees(g)])
+    return _em1(list(map(len, g._adj)), g._edges)
 
 
 def em2(g: Graph) -> int:
     """Second reformulated Zagreb index.
 
     Sum of deg(e)*deg(f) over unordered pairs of distinct adjacent edges,
-    each pair counted once.  Two distinct edges of a simple graph share at
-    most one endpoint, so with s(v) the sum of the degrees of the edges at
-    v, s(v)^2 is their squares plus twice the pairs at v, and
-    sum(s(v)^2) = 2*em1 + 2*em2 exactly.
+    each pair counted once.
     """
-    s = [0] * g.n
-    squares = 0
-    for (u, v), ed in zip(g._edges, _edge_degrees(g)):
-        s[u] += ed
-        s[v] += ed
-        squares += ed * ed
-    return sum([x * x for x in s]) // 2 - squares
+    return _em2(list(map(len, g._adj)), g._edges)
 
 
 INDEX_FUNCS = {"m1": m1, "m2": m2, "em1": em1, "em2": em2}

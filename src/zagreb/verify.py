@@ -115,11 +115,14 @@ def verify_theorem(claim, ns=None, workers=1, allow_large=False) -> VerdictRepor
     if "floor" in cfg:
         symbols.append(cfg["floor"])
     sources = {s: reference(s).provenance for s in symbols}
+    # every order is validated before the first scan starts
+    specs = [
+        EnumSpec(n=n, c=cfg["c"], workers=workers, allow_large=allow_large) for n in ns
+    ]
     t0 = time.perf_counter()
     rows = []
     cex = []
-    for n in ns:
-        spec = EnumSpec(n=n, c=cfg["c"], workers=workers, allow_large=allow_large)
+    for n, spec in zip(ns, specs):
         rep = extremal_scan(spec, "em1")
         row = {
             "n": n,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import zagreb.cli as cli_mod
+from zagreb import _kernel
 from zagreb import (
     EnumSpec,
     VerdictReport,
@@ -179,6 +180,26 @@ def test_verify_theorem_accepts_explicit_options(capsys):
         capsys, "verify", "theorem-1", "--n", "4", "--workers", "1", "--allow-large"
     )
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "claim, orders, fragment",
+    [
+        ("theorem-2", "4..10", "capped at n=9, got n=10"),
+        ("theorem-2", "12..15", "capped at n=9, got n=12"),
+        ("theorem-1", "4..1000000000000000000", "capped at n=9, got n=10"),
+        ("theorem-4", "4..9", "allow_large"),
+    ],
+)
+def test_verify_theorem_rejects_orders_before_any_scan(
+    capsys, monkeypatch, claim, orders, fragment
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan ran before every order was validated")
+
+    monkeypatch.setattr(_kernel, "scan_extremal", refuse)
+    code, out, err = run(capsys, "verify", claim, "--n", orders)
+    assert code == 2 and out == "" and fragment in err
 
 
 def test_brace_census_cli(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,23 @@ def test_kernel_walk_matches_brute_force(n):
             assert hi_masks == [k for k in whole if values[k] == hi], (m, index)
 
 
+# sha256 of repr(scan_extremal(7, m, index)) for m1, m2, em1, em2 in turn,
+# taken when the kernel still had its own index formulas
+KERNEL_N7_DIGESTS = {
+    6: "e421b243b79c9ff108fdc4c0ca4daef5a53eccbed69defa2a4a1aaece9757f17",
+    7: "bc811e6bc9b63f183223599f591a356c21efc58a5356417a72777ea5be9bc230",
+    18: "0f585c58c90de36e8e4e787fea012282f71367ed3b6d1adf4183bf5bdde48872",
+}
+
+
+def test_kernel_pinned_past_brute_force_size():
+    for m, digest in KERNEL_N7_DIGESTS.items():
+        h = hashlib.sha256()
+        for index in ("m1", "m2", "em1", "em2"):
+            h.update(repr(_kernel.scan_extremal(7, m, index)).encode())
+        assert h.hexdigest() == digest, m
+
+
 def test_visitor_streams_valid_graphs():
     spec = EnumSpec(n=6, c=1)
     seen = []
@@ -172,6 +190,8 @@ def test_report_json_shape():
 def test_bad_index_rejected():
     with pytest.raises(GraphError, match="unknown index"):
         extremal_scan(EnumSpec(n=5, c=1), "zagreb3")
+    with pytest.raises(ValueError, match="unknown index"):
+        _kernel.scan_extremal(5, 4, "zagreb3")
 
 
 # pinned pendant-free cores; the unicyclic core can only be the cycle

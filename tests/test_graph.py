@@ -14,6 +14,7 @@ from zagreb import (
     read_edge_list,
     write_edge_list,
 )
+from util import bf_connected_all_m
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -118,6 +119,59 @@ def test_fuse_drops_shared_neighbor_duplicates():
     # star: fusing two leaves keeps a single edge to the hub
     g = fuse(make_graph(4, [(0, 1), (0, 2), (0, 3)]), 1, 2)
     assert g.n == 3 and g.m == 2
+
+
+def _fuse_reference(g, u, v):
+    rest = [t for t in range(g.n) if t not in (u, v)]
+    label = {t: i for i, t in enumerate(rest)}
+    label[u] = label[v] = len(rest)
+    edges = {tuple(sorted((label[a], label[b]))) for a, b in g.edges}
+    return make_graph(len(rest) + 1, edges)
+
+
+def _brace_reference(g):
+    adj = {t: set() for t in range(g.n)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    while True:
+        leaves = [t for t in adj if len(adj[t]) == 1]
+        if not leaves:
+            break
+        for t in leaves:
+            for x in adj.pop(t):
+                if x in adj:
+                    adj[x].discard(t)
+    label = {t: i for i, t in enumerate(sorted(adj))}
+    edges = [(label[a], label[b]) for a, b in g.edges if a in adj and b in adj]
+    return make_graph(len(label), edges)
+
+
+def _same(got, want):
+    # Graph.__eq__ compares n and edges only; check the adjacency too
+    return got == want and got._adj == want._adj
+
+
+def test_fuse_and_brace_match_references_exhaustively():
+    # every connected labeled graph with n <= 5: fuse at every non-adjacent
+    # ordered pair, brace wherever there is a cycle
+    fused = braced = 0
+    for n in range(1, 6):
+        for g in bf_connected_all_m(n):
+            for u in range(n):
+                for v in range(n):
+                    if u != v and v not in g.neighbors(u):
+                        want = _fuse_reference(g, u, v)
+                        assert _same(fuse(g, u, v), want), (g.edges, u, v)
+                        fused += 1
+            if g.m >= n:
+                assert _same(brace(g), _brace_reference(g)), g.edges
+                braced += 1
+    assert (fused, braced) == (6454, 626)
+
+
+def test_fuse_of_two_isolated_vertices_is_one_vertex():
+    assert fuse(make_graph(2, []), 0, 1) == make_graph(1, [])
 
 
 def test_line_graph_small_cases():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import zagreb.verify as verify_mod
+from zagreb import _kernel
 from zagreb import (
     GraphError,
     LEMMA_CLAIMS,
@@ -108,6 +109,17 @@ def test_theorem_failure_embeds_counterexamples(monkeypatch):
         if cex["check"] == "max value":
             g = graph6_decode(cex["graphs"][0])
             assert naive_em1(g) == cex["observed"] != cex["expected"]
+
+
+def test_theorem_orders_validated_before_any_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan ran before every order was validated")
+
+    monkeypatch.setattr(_kernel, "scan_extremal", refuse)
+    with pytest.raises(GraphError, match="capped at n=9, got n=10"):
+        verify_theorem("theorem-2", ns=[4, 5, 6, 7, 10])
+    with pytest.raises(GraphError, match="allow_large"):
+        verify_theorem("theorem-4", ns=range(4, 10))
 
 
 def test_lemma_fixture_rows():
