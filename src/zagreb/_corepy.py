@@ -19,8 +19,9 @@ Each connected leaf is handed on as its mask, the live degree list and
 the chosen edge pairs.  scan_extremal scores it with the index's one
 definition, indices.FROM_DEGREES, so this module holds no index formula.
 
-The compiled kernel in _corecy.pyx keeps the same visiting order, slices
-and return values; the test suite compares the two.
+This is the package's one enumeration kernel.  Callers reach it through
+_kernel, and the test suite checks its walk, slices and scans against
+brute force on every n <= 6.
 """
 
 from __future__ import annotations

@@ -1,37 +1,22 @@
-"""Enumeration kernel selection.
+"""Enumeration kernel entry point.
 
-Imports the compiled kernel when the extension built, else the pure
-Python twin.  ZAGREB_KERNEL=py or =cy forces the choice; forcing cy on an
-install without the extension is an error rather than a silent downgrade.
-BACKEND names the one in use.
+enumeration and verify call the kernel through this module, never
+through _corepy directly.  BACKEND names the kernel; "py" is the only
+one.  ZAGREB_KERNEL may be unset, empty or "py"; any other value is an
+import error, so a request for a kernel that does not exist fails
+loudly.
 """
 
 from __future__ import annotations
 
 import os
 
+from ._corepy import census_masks, scan_extremal, visit_connected
+
+__all__ = ["BACKEND", "census_masks", "scan_extremal", "visit_connected"]
+
+BACKEND = "py"
+
 _forced = os.environ.get("ZAGREB_KERNEL", "").strip().lower()
-
-if _forced == "py":
-    from . import _corepy as _impl
-
-    BACKEND = "py"
-elif _forced == "cy":
-    from . import _corecy as _impl  # type: ignore[no-redef]
-
-    BACKEND = "cy"
-elif _forced:
-    raise ImportError(f"ZAGREB_KERNEL must be 'py' or 'cy', got {_forced!r}")
-else:
-    try:
-        from . import _corecy as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cy"
-    except ImportError:
-        from . import _corepy as _impl
-
-        BACKEND = "py"
-
-scan_extremal = _impl.scan_extremal
-visit_connected = _impl.visit_connected
-census_masks = _impl.census_masks
+if _forced not in ("", "py"):
+    raise ImportError(f"ZAGREB_KERNEL must be 'py' or unset, got {_forced!r}")

@@ -23,10 +23,17 @@ from .rewrite import KINDS, RewriteSpec, apply_rewrite
 from .verify import LEMMA_CLAIMS, THEOREM_CLAIMS, verify_lemma, verify_theorem
 
 
+def _open_out(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc}") from None
+
+
 def _out_stream(path):
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+    return _open_out(path)
 
 
 def _parse_ns(text: str) -> range:
@@ -66,14 +73,16 @@ def _edge_count_rule(text: str):
 
 
 def _cmd_compute(args) -> int:
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
+    # a decode error names the byte offset of the first bad byte
+    try:
+        if args.input == "-":
+            lines = sys.stdin.read().splitlines()
+        else:
             with open(args.input, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-        except OSError as exc:
-            raise GraphError(f"cannot read {args.input}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if args.input == "-" else args.input
+        raise GraphError(f"cannot read {source}: {exc}") from None
     wanted = INDEX_IDS if args.index == "all" else (args.index,)
     rows = []
     for i, line in enumerate(lines, start=1):
@@ -157,11 +166,13 @@ def _cmd_enumerate(args) -> int:
         workers=args.workers,
     )
     rep = extremal_scan(spec, args.index)
-    with _out_stream(args.out) as fh:
+    # the summary table is opened first, so an unwritable --csv path
+    # fails before any of the report is written
+    table = _open_out(args.csv) if args.csv else contextlib.nullcontext()
+    with table as tf, _out_stream(args.out) as fh:
         fh.write(rep.to_json() + "\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        if args.csv:
+            writer = csv.writer(tf, lineterminator="\n")
             writer.writerow(
                 ["n", "c", "m", "index", "visited", "min", "max",
                  "min_classes", "max_classes", "wall_time_s"]

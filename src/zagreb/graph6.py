@@ -5,7 +5,7 @@ x(0,1), x(0,2), x(1,2), x(0,3), ... into 6-bit groups, each offset by 63
 into printable ASCII, after a size prefix N(n).  That column order is
 also the package-wide edge index order: edge (u, v) with u < v has index
 v*(v-1)/2 + u, and bit k of an integer mask stands for edge k.  The
-enumeration kernels and this codec therefore share one bit layout.
+enumeration kernel and this codec therefore share one bit layout.
 
 Column v of a mask is its next run of v bits; their set bits are the
 lower neighbours of v.  graph_of_mask(), the package's one mask -> Graph

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +67,29 @@ def test_compute_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_compute_rejects_non_utf8_file(tmp_path, capsys):
+    src = tmp_path / "utf16.g6"
+    src.write_bytes(b"C~\n\xff\xfeC~\n")
+    code, out, err = run(capsys, "compute", str(src))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {src}: ")
+    assert "byte 0xff in position 3" in err
+
+
+def test_compute_rejects_non_utf8_stdin():
+    # stdin decodes strictly under a UTF-8 locale; force that here
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    out = subprocess.run(
+        [sys.executable, "-c", "from zagreb.cli import main; main()", "compute", "-"],
+        input=b"\xff\xfeC~\n",
+        capture_output=True,
+        env=env,
+    )
+    assert out.returncode == 2 and out.stdout == b""
+    assert out.stderr.startswith(b"error: cannot read stdin: ")
+    assert b"position 0" in out.stderr
+
+
 def test_compute_writes_out_file(tmp_path, capsys):
     src = tmp_path / "in.g6"
     src.write_text("Ch\n")
@@ -126,6 +152,15 @@ def test_enumerate_json_and_csv(tmp_path, capsys):
     assert lines[1].startswith("5,3,7,em1,120,98,132,1,2,")
 
 
+def test_enumerate_unwritable_csv_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "no" / "such" / "summary.csv"
+    code, out, err = run(
+        capsys, "enumerate", "--n", "5", "--cyclomatic", "3", "--csv", str(csv_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {csv_path}: ")
+
+
 def test_enumerate_rejects_oversize(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--cyclomatic", "3")
     assert code == 2 and "allow_large" in err
@@ -140,6 +175,15 @@ def test_verify_theorem_roundtrip(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["claim"] == "theorem-5" and doc["passed"] is True
     assert [row["n"] for row in doc["rows"]] == [4, 5]
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "no" / "such" / "verdict.json"
+    code, out, err = run(
+        capsys, "verify", "theorem-1", "--n", "4", "--out", str(out_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
