@@ -11,6 +11,7 @@ from .enumeration import (
     EnumSpec,
     ExtremalReport,
     brace_census,
+    connected_classes,
     enumerate_connected,
     extremal_scan,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "brace_census",
     "canonical_form",
     "compute_index",
+    "connected_classes",
     "cycle_graph",
     "cyclomatic_number",
     "degree",

@@ -157,16 +157,3 @@ def visit_connected(n: int, m: int, lo: int, hi: int | None, callback) -> int:
     """Call callback(mask) once per connected labeled (n, m) graph."""
     return _driver(n, m, lo, hi, lambda mask, deg, sel: callback(mask))
 
-
-def census_masks(n: int, m: int, lo: int = 0, hi: int | None = None) -> list[int]:
-    """Masks of the connected (n, m) graphs with minimum degree >= 2."""
-    out: list[int] = []
-
-    def on_leaf(mask, deg, sel):
-        for d in deg:
-            if d < 2:
-                return
-        out.append(mask)
-
-    _driver(n, m, lo, hi, on_leaf)
-    return out

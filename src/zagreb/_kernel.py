@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import os
 
-from ._corepy import census_masks, scan_extremal, visit_connected
+from ._corepy import scan_extremal, visit_connected
 
-__all__ = ["BACKEND", "census_masks", "scan_extremal", "visit_connected"]
+__all__ = ["BACKEND", "scan_extremal", "visit_connected"]
 
 BACKEND = "py"
 

@@ -5,6 +5,13 @@ one whose adjacency bit string (in column order) is minimal over all
 relabelings compatible with the iterated degree partition.  Two graphs
 get the same string iff they are isomorphic.  The search is exponential
 in the worst case, hence the size cap.
+
+The search prunes only prefixes strictly greater than the best so far,
+so it reaches every labeling that attains the minimum.  Those labelings
+form one coset of Aut(g): every automorphism keeps the (invariant)
+partition, and two labelings give the same bit string iff they differ
+by an automorphism.  Their count is therefore |Aut(g)|, which the class
+enumerator needs for orbit sizes.
 """
 
 from __future__ import annotations
@@ -40,11 +47,16 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
 
     Raises GraphError when g has more than `limit` vertices (default 10).
     """
+    if g.n > limit:
+        raise GraphError(f"canonical form capped at {limit} vertices, got {g.n}")
+    return encode_mask(g.n, _canonical_search(g)[0])
+
+
+def _canonical_search(g: Graph) -> tuple[int, int]:
+    """(canonical adjacency mask, |Aut(g)|) from one search; no size cap."""
     n = g.n
-    if n > limit:
-        raise GraphError(f"canonical form capped at {limit} vertices, got {n}")
     if n == 1:
-        return encode_mask(1, 0)
+        return 0, 1
 
     colors = _refine_colors(g)
     # Position p must receive a vertex of class block_of[p]; blocks are laid
@@ -58,14 +70,18 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
     placed: list[int] = []
     used = [False] * n
     best: int | None = None
+    ties = 0
     # prefix lengths: after filling position k there are k(k+1)/2 bits
     tri = [k * (k + 1) // 2 for k in range(n + 1)]
 
     def extend(depth: int, prefix: int) -> None:
-        nonlocal best
+        nonlocal best, ties
         if depth == n:
             if best is None or prefix < best:
                 best = prefix
+                ties = 1
+            elif prefix == best:
+                ties += 1
             return
         want = block_of[depth]
         candidates = []
@@ -78,7 +94,8 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
                 candidates.append((col, v))
         candidates.sort()
         for col, v in candidates:
-            # child carries tri[depth] bits: position i contributes i of them
+            # child carries tri[depth] bits: position i contributes i of them;
+            # only strictly greater prefixes are cut, so no tying leaf is lost
             child = (prefix << depth) | col
             if best is not None and child > (best >> (nbits - tri[depth])):
                 continue
@@ -95,4 +112,4 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
     for j in range(nbits):
         if (best >> (nbits - 1 - j)) & 1:
             mask |= 1 << j
-    return encode_mask(n, mask)
+    return mask, ties

@@ -73,13 +73,15 @@ def _edge_count_rule(text: str):
 
 
 def _cmd_compute(args) -> int:
-    # a decode error names the byte offset of the first bad byte
+    # bytes are decoded strictly here, whatever the locale or stdin's text
+    # layer would do, so a decode error names the offset of the first bad byte
     try:
         if args.input == "-":
-            lines = sys.stdin.read().splitlines()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.input, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
+        lines = data.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if args.input == "-" else args.input
         raise GraphError(f"cannot read {source}: {exc}") from None
@@ -257,7 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cyclomatic", type=int, required=True)
     p.add_argument("--index", choices=INDEX_IDS, default="em1")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; fans out labeled (--no-dedup) "
+                        "scans only, a class scan runs in one process")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--no-dedup", action="store_true", help="report labeled witnesses")
     p.add_argument("--out")
@@ -269,7 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="order N or range A..B (theorem claims)")
     p.add_argument("--trials", type=int, default=1000, help="random corpus size (lemma claims)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, help="worker processes (theorem claims, default 1)")
+    p.add_argument("--workers", type=int,
+                   help="theorem claims only, default 1; worker processes fan "
+                        "out labeled (enumerate --no-dedup) scans only, and "
+                        "theorem scans walk isomorphism classes in one process")
     p.add_argument("--allow-large", action="store_true", default=None,
                    help="admit the n=9 tricyclic scan (theorem claims)")
     p.add_argument("--out")

@@ -8,19 +8,28 @@ classes.  Lemmas are checked by sweeping every applicable rewrite site
 over a corpus (all connected graphs up to order 7, plus seeded random
 connected graphs up to order 12) and asserting strict monotonicity.
 Every failing verdict embeds a decodable counterexample.
+
+The enumerated part of the lemma corpus is swept one isomorphism class
+at a time, each class weighted by the n!/|Aut| labeled graphs it
+stands for.  Sites are found on a class representative; since
+find_applicable is relabeling-equivariant, every labeled member has as
+many sites with the same em1 changes.  corpus_size, sites,
+graphs_with_sites and violations are therefore labeled counts, while a
+counterexample names the class representative.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
 
 from . import _kernel
 from .canon import canonical_form
-from .enumeration import EnumSpec, extremal_scan
+from .enumeration import EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
 from .graph6 import graph6_encode, graph_of_mask
@@ -221,7 +230,8 @@ def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 12) 
 
 
 def _iter_connected(n_max: int):
-    # every connected labeled graph with n <= n_max, all edge counts
+    # every connected labeled graph with n <= n_max, all edge counts; the
+    # labeled reference the enumerated lemma corpus stands for
     for n in range(1, n_max + 1):
         for m in range(max(n - 1, 0), n * (n - 1) // 2 + 1):
             masks: list[int] = []
@@ -250,13 +260,14 @@ def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
 def _lemma_pass(kinds, trials, seed, n_max, enum_max):
     if trials < 0:
         raise GraphError(f"trials must be >= 0, got {trials}")
-    stats = {k: {"sites": 0, "graphs_with_sites": 0} for k in kinds}
+    stats = {k: {"sites": 0, "graphs_with_sites": 0, "violations": 0} for k in kinds}
     bad = {k: [] for k in kinds}
     corpus_size = 0
 
-    def check(g: Graph) -> None:
+    def check(g: Graph, weight: int) -> None:
+        # g stands for `weight` labeled graphs
         nonlocal corpus_size
-        corpus_size += 1
+        corpus_size += weight
         degs = list(map(len, g._adj))
         has_pendant = 1 in degs
         has_two = 2 in degs
@@ -270,13 +281,14 @@ def _lemma_pass(kinds, trials, seed, n_max, enum_max):
             sites = find_applicable(g, kind)
             if not sites:
                 continue
-            stats[kind]["graphs_with_sites"] += 1
-            stats[kind]["sites"] += len(sites)
+            stats[kind]["graphs_with_sites"] += weight
+            stats[kind]["sites"] += weight * len(sites)
             increases = _DIRECTION[kind]
             for site in sites:
                 res = apply_rewrite(g, site)
                 delta = res.em1_after - res.em1_before
                 if (delta > 0) != increases or delta == 0:
+                    stats[kind]["violations"] += weight
                     bad[kind].append({
                         "graph6": graph6_encode(g),
                         "site": site.params(),
@@ -284,11 +296,14 @@ def _lemma_pass(kinds, trials, seed, n_max, enum_max):
                         "em1_after": res.em1_after,
                     })
 
-    for g in _iter_connected(enum_max):
-        check(g)
+    for n in range(1, enum_max + 1):
+        order = math.factorial(n)
+        for _, classes in _class_levels(n):
+            for mask, aut in classes.items():
+                check(graph_of_mask(n, mask), order // aut)
     rng = random.Random(seed)
     for _ in range(trials):
-        check(random_connected_graph(rng, n_max=n_max))
+        check(random_connected_graph(rng, n_max=n_max), 1)
     return corpus_size, stats, bad
 
 
@@ -315,7 +330,7 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, n_max, enum_max,
             "random_max_n": n_max,
             "sites": sites,
             "graphs_with_sites": stats[kind]["graphs_with_sites"],
-            "violations": len(bad[kind]),
+            "violations": stats[kind]["violations"],
         },
     )
     return VerdictReport(

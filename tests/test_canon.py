@@ -1,7 +1,10 @@
 import random
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zagreb import (
     CANON_LIMIT,
@@ -13,7 +16,7 @@ from zagreb import (
     path_graph,
     star_graph,
 )
-from util import bf_connected, bf_connected_all_m, relabeled
+from util import all_pairs, bf_connected, bf_connected_all_m, relabeled
 
 # unlabeled connected graph counts, cross-checked against the standard
 # enumeration references before freezing
@@ -82,3 +85,38 @@ def test_size_cap():
     big = make_graph(CANON_LIMIT + 1, [(0, 1)])
     with pytest.raises(GraphError, match="capped at"):
         canonical_form(big)
+
+
+@st.composite
+def graph_pairs(draw):
+    # isomorphic pairs (relabelings), same-size pairs (one edge moved) and
+    # unrelated pairs, on at most 7 vertices
+    n = draw(st.integers(1, 7))
+    pairs = all_pairs(n)
+    a = [p for p in pairs if draw(st.booleans())]
+    kind = draw(st.sampled_from(("relabel", "move", "free")))
+    if kind == "relabel":
+        perm = draw(st.permutations(range(n)))
+        b = [(perm[u], perm[v]) for u, v in a]
+    elif kind == "move" and a and len(a) < len(pairs):
+        gone = draw(st.sampled_from(a))
+        new = draw(st.sampled_from([p for p in pairs if p not in a]))
+        b = [p for p in a if p != gone] + [new]
+    else:
+        b = [p for p in pairs if draw(st.booleans())]
+    return make_graph(n, a), make_graph(n, b)
+
+
+def _nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_pairs())
+def test_canonical_form_agrees_with_networkx_isomorphism(pair):
+    a, b = pair
+    same = canonical_form(a) == canonical_form(b)
+    assert same == nx.is_isomorphic(_nx(a), _nx(b))

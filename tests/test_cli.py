@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import zagreb.cli as cli_mod
-from zagreb import _kernel
+from zagreb import _kernel, enumeration
 from zagreb import (
     EnumSpec,
     VerdictReport,
@@ -29,7 +30,7 @@ def run(capsys, *argv):
 
 
 def test_compute_csv_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", type("S", (), {"read": lambda self: "C~\n"})())
+    monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"C~\n")})())
     code, out, err = run(capsys, "compute", "-", "--index", "all")
     assert code == 0 and err == ""
     assert out.splitlines() == [
@@ -88,6 +89,22 @@ def test_compute_rejects_non_utf8_stdin():
     assert out.returncode == 2 and out.stdout == b""
     assert out.stderr.startswith(b"error: cannot read stdin: ")
     assert b"position 0" in out.stderr
+
+
+def test_compute_stdin_decodes_strictly_under_the_c_locale():
+    # with no locale set, Python's UTF-8 mode reads stdin with
+    # surrogateescape, which turned the byte 0xff into a bogus graph6 byte
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    out = subprocess.run(
+        [sys.executable, "-c", "from zagreb.cli import main; main()", "compute", "-"],
+        input=b"\xff\xfeC~\n",
+        capture_output=True,
+        env=env,
+    )
+    assert out.returncode == 2 and out.stdout == b""
+    assert out.stderr.startswith(b"error: cannot read stdin: ")
+    assert b"byte 0xff in position 0" in out.stderr
 
 
 def test_compute_writes_out_file(tmp_path, capsys):
@@ -242,6 +259,7 @@ def test_verify_theorem_rejects_orders_before_any_scan(
         raise AssertionError("a scan ran before every order was validated")
 
     monkeypatch.setattr(_kernel, "scan_extremal", refuse)
+    monkeypatch.setattr(enumeration, "connected_classes", refuse)
     code, out, err = run(capsys, "verify", claim, "--n", orders)
     assert code == 2 and out == "" and fragment in err
 

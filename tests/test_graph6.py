@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zagreb import (
     Graph6Error,
@@ -11,7 +13,7 @@ from zagreb import (
     path_graph,
     star_graph,
 )
-from zagreb.graph6 import edge_table, encode_mask, graph_of_mask
+from zagreb.graph6 import decode_mask, edge_table, encode_mask, graph_of_mask
 from util import all_pairs, bf_connected_all_m, random_graph
 
 K4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -160,3 +162,19 @@ def test_decode_reports_pinned_bad_byte(line, message, position):
     with pytest.raises(Graph6Error) as exc:
         graph6_decode(line)
     assert str(exc.value) == message and exc.value.position == position
+
+
+# arbitrary text, and text drawn mostly from graph6's own alphabet so that
+# many lines get past the byte check into the size and padding checks
+GRAPH6_ISH = st.text(alphabet=st.sampled_from("?@ABCDEFGH_`ow~\n"), max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=20), GRAPH6_ISH))
+def test_decode_mask_raises_only_graph6_error(text):
+    try:
+        n, mask = decode_mask(text)
+    except Graph6Error as exc:
+        assert exc.position is None or 0 <= exc.position <= len(text)
+        return
+    assert n >= 1 and 0 <= mask < 1 << (n * (n - 1) // 2)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import zagreb.verify as verify_mod
-from zagreb import _kernel
+from zagreb import _kernel, enumeration
 from zagreb import (
     GraphError,
     LEMMA_CLAIMS,
@@ -116,6 +116,7 @@ def test_theorem_orders_validated_before_any_scan(monkeypatch):
         raise AssertionError("a scan ran before every order was validated")
 
     monkeypatch.setattr(_kernel, "scan_extremal", refuse)
+    monkeypatch.setattr(enumeration, "connected_classes", refuse)
     with pytest.raises(GraphError, match="capped at n=9, got n=10"):
         verify_theorem("theorem-2", ns=[4, 5, 6, 7, 10])
     with pytest.raises(GraphError, match="allow_large"):
@@ -177,6 +178,10 @@ def test_lemma_violation_path_embeds_graphs(monkeypatch):
     rep = verify_lemma("lemma-3", trials=0, seed=0, enum_max=4)
     assert not rep.passed
     assert rep.counterexamples
+    # violations count labeled graphs' sites; counterexamples name one
+    # representative per isomorphism class
+    corpus = rep.rows[1]
+    assert corpus["violations"] == corpus["sites"] > len(rep.counterexamples)
     cex = rep.counterexamples[0]
     g = graph6_decode(cex["graph6"])
     assert naive_em1(g) == cex["em1_before"]
