@@ -165,7 +165,6 @@ def _cmd_enumerate(args) -> int:
         c=args.cyclomatic,
         dedup=not args.no_dedup,
         allow_large=args.allow_large,
-        workers=args.workers,
     )
     rep = extremal_scan(spec, args.index)
     # the summary table is opened first, so an unwritable --csv path
@@ -193,15 +192,9 @@ def _cmd_verify(args) -> int:
         if ns and ns[-1] > HARD_CAP:
             first = max(ns[0], HARD_CAP + 1)
             raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={first}")
-        rep = verify_theorem(
-            args.claim,
-            ns=ns,
-            workers=1 if args.workers is None else args.workers,
-            allow_large=bool(args.allow_large),
-        )
+        rep = verify_theorem(args.claim, ns=ns, allow_large=bool(args.allow_large))
     else:
-        for flag, value in (("--n", args.n), ("--workers", args.workers),
-                            ("--allow-large", args.allow_large)):
+        for flag, value in (("--n", args.n), ("--allow-large", args.allow_large)):
             if value is not None:
                 raise GraphError(f"{flag} applies to theorem claims only, not {args.claim}")
         rep = verify_lemma(args.claim, trials=args.trials, seed=args.seed)
@@ -259,11 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cyclomatic", type=int, required=True)
     p.add_argument("--index", choices=INDEX_IDS, default="em1")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes; fans out labeled (--no-dedup) "
-                        "scans only, a class scan runs in one process")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--no-dedup", action="store_true", help="report labeled witnesses")
+    p.add_argument("--no-dedup", action="store_true",
+                   help="report every labeled member of the extreme classes, "
+                        "in enumeration order")
     p.add_argument("--out")
     p.add_argument("--csv", help="also write a one-row summary table here")
     p.set_defaults(handler=_cmd_enumerate)
@@ -273,10 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="order N or range A..B (theorem claims)")
     p.add_argument("--trials", type=int, default=1000, help="random corpus size (lemma claims)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int,
-                   help="theorem claims only, default 1; worker processes fan "
-                        "out labeled (enumerate --no-dedup) scans only, and "
-                        "theorem scans walk isomorphism classes in one process")
     p.add_argument("--allow-large", action="store_true", default=None,
                    help="admit the n=9 tricyclic scan (theorem claims)")
     p.add_argument("--out")

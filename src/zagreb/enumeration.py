@@ -12,12 +12,11 @@ cached between calls.  (The augmentation follows McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998, but dedups by canonical
 form instead of canonical augmentation.)
 
-A labeled scan (dedup=False) walks every edge subset of K_n in the
-enumeration kernel and reports labeled witnesses in enumeration order.
-It can fan out over worker processes, each owning a slice of the
-first-edge indices.  The tracker merge is associative and the slices
-are folded in index order, so the report is identical at any worker
-count (apart from wall time).
+A labeled scan (dedup=False) runs the same class scan and then expands
+only the extreme classes into their labeled members: every relabeling
+of a class mask, deduplicated, put in the enumeration kernel's walk
+order.  Its witness lists are therefore exactly the labeled ones a walk
+of every edge subset of K_n would report, without that walk.
 
 Hard caps keep the worst case at desk scale; the one gated case (n=9 at
 c=3, about 6e8 labeled subsets) sits behind allow_large.
@@ -28,15 +27,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import permutations
 
 from . import _kernel
 # perfbench/tracer.py wraps canonical_form and _from_edges in each module
 # that imports them
 from .canon import _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
-from .graph6 import encode_mask, graph_of_mask
+from .graph6 import edge_table, encode_mask, graph_of_mask
 from .indices import INDEX_IDS, compute_index
 
 HARD_CAP = 9
@@ -51,7 +50,6 @@ class EnumSpec:
     c: int
     dedup: bool = True
     allow_large: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.c not in (0, 1, 2, 3):
@@ -71,8 +69,6 @@ class EnumSpec:
                 f"n={self.n} at c=3 means roughly C(36,11) ~ 6e8 edge subsets; "
                 f"pass allow_large=True (CLI: --allow-large) to run it anyway"
             )
-        if self.workers < 1:
-            raise GraphError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def m(self) -> int:
@@ -129,35 +125,6 @@ class ExtremalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _scan_slice(args):
-    n, m, index, lo, hi = args
-    return _kernel.scan_extremal(n, m, index, lo, hi)
-
-
-def _merge(parts):
-    # associative tracker merge; parts arrive in first-edge order, so the
-    # concatenated witness lists match a single whole scan exactly
-    visited = 0
-    mn = mx = None
-    mn_masks: list[int] = []
-    mx_masks: list[int] = []
-    for v, a, b, am, bm in parts:
-        visited += v
-        if a is None:
-            continue
-        if mn is None or a < mn:
-            mn = a
-            mn_masks = list(am)
-        elif a == mn:
-            mn_masks.extend(am)
-        if mx is None or b > mx:
-            mx = b
-            mx_masks = list(bm)
-        elif b == mx:
-            mx_masks.extend(bm)
-    return visited, mn, mx, mn_masks, mx_masks
-
-
 def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
     """Exhaustive min/max of one index over the graphs selected by an EnumSpec."""
     if index not in INDEX_IDS:
@@ -166,20 +133,7 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
         )
     n, m = spec.n, spec.m
     t0 = time.perf_counter()
-    if spec.dedup:
-        visited, mn, mx, mn_masks, mx_masks = _scan_classes(n, m, index)
-    else:
-        full = n * (n - 1) // 2
-        # admissible first edges: enough room for m-1 more, and never past
-        # the column of vertex n-1 (the empty prefix rescues no component)
-        top = min(full - m, full - (n - 1)) + 1
-        if spec.workers == 1 or m == 0 or top < 2:
-            parts = [_kernel.scan_extremal(n, m, index)]
-        else:
-            tasks = [(n, m, index, i, i + 1) for i in range(top)]
-            with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
-                parts = list(pool.map(_scan_slice, tasks))
-        visited, mn, mx, mn_masks, mx_masks = _merge(parts)
+    visited, mn, mx, mn_masks, mx_masks = _scan_classes(n, m, index)
     if mn is None:
         raise GraphError(f"no connected graph with n={n}, m={m}")
     if spec.dedup:
@@ -187,8 +141,8 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
         max_graphs = tuple(sorted(encode_mask(n, k) for k in mx_masks))
         min_classes, max_classes = len(min_graphs), len(max_graphs)
     else:
-        min_graphs = tuple(encode_mask(n, k) for k in mn_masks)
-        max_graphs = tuple(encode_mask(n, k) for k in mx_masks)
+        min_graphs = tuple(encode_mask(n, k) for k in _labeled_members(n, mn_masks))
+        max_graphs = tuple(encode_mask(n, k) for k in _labeled_members(n, mx_masks))
         min_classes = max_classes = None
     return ExtremalReport(
         n=n,
@@ -208,8 +162,8 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
 
 
 def _scan_classes(n: int, m: int, index: str):
-    # the kernel's (visited, min, max, min_masks, max_masks), over classes:
-    # visited is the labeled count, the masks are canonical
+    # (visited, min, max, min_masks, max_masks) over the classes: visited
+    # is the labeled count, the masks are canonical
     classes = connected_classes(n, m)
     order = math.factorial(n)
     visited = sum(order // aut for aut in classes.values())
@@ -223,6 +177,25 @@ def _scan_classes(n: int, m: int, index: str):
         [k for k, v in values.items() if v == mn],
         [k for k, v in values.items() if v == mx],
     )
+
+
+def _labeled_members(n: int, masks) -> list[int]:
+    """Every labeled mask in the classes of the given masks, in walk order.
+
+    The kernel walks edge subsets in lexicographic order of their
+    ascending edge indices; among masks with one edge count that is
+    descending order of the bit-reversed mask.
+    """
+    bit = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(edge_table(n)):
+        bit[u][v] = bit[v][u] = 1 << k
+    members = set()
+    for mask in masks:
+        edges = graph_of_mask(n, mask).edges
+        for p in permutations(range(n)):
+            members.add(sum([bit[p[u]][p[v]] for u, v in edges]))
+    width = n * (n - 1) // 2
+    return sorted(members, key=lambda k: f"{k:0{width}b}"[::-1], reverse=True)
 
 
 def _dedup(n: int, masks) -> dict[int, int]:

@@ -14,6 +14,8 @@ builder, walks the columns once, with no table of pairs and no sort.
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
+
 # perfbench/tracer.py wraps _from_edges in each module that imports it
 from .graph import Graph, GraphError, _blessed, _from_edges  # noqa: F401
 
@@ -30,11 +32,15 @@ class Graph6Error(GraphError):
 
 _MAX_N = 258047  # largest n encodable with the 3-byte size form
 
-# 6-bit reversal table: group g with edge bit k at 1<<(k mod 6) becomes the
-# big-endian bit layout graph6 wants within a data byte.
-_REV6 = tuple(
-    sum(((g >> i) & 1) << (5 - i) for i in range(6)) for g in range(64)
-)
+# The data bytes are the edge bits in index order cut into 6-bit groups,
+# the first edge the high bit of its group: base64 over the mask's bytes,
+# little-endian and each bit-reversed, with the alphabet chr(63)..chr(126).
+# binascii converts a whole body in one linear pass.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_DATA = bytes(range(63, 127))
+_TO_DATA = bytes.maketrans(_B64, _DATA)
+_TO_B64 = bytes.maketrans(_DATA, _B64)
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def edge_table(n: int) -> tuple[tuple[int, int], ...]:
@@ -64,18 +70,24 @@ def graph_of_mask(n: int, mask: int) -> Graph:
     return _blessed(n, rows, edges)
 
 
-def encode_mask(n: int, mask: int) -> str:
-    """graph6 line for the adjacency mask of an n-vertex graph."""
+def _size_prefix(n: int) -> str:
     if n < 1 or n > _MAX_N:
         raise Graph6Error(f"n={n} outside encodable range 1..{_MAX_N}")
     if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+        return chr(n + 63)
+    return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+
+
+def encode_mask(n: int, mask: int) -> str:
+    """graph6 line for the adjacency mask of an n-vertex graph."""
+    head = _size_prefix(n)
     nbits = n * (n - 1) // 2
     if mask >> nbits:
         raise Graph6Error("adjacency mask has bits beyond the triangle")
-    return head + "".join(chr(63 + _REV6[(mask >> s) & 63]) for s in range(0, nbits, 6))
+    need = (nbits + 5) // 6
+    # whole base64 quanta: 4 groups from 3 bytes, the spare groups zero
+    data = mask.to_bytes((need + 3) // 4 * 3, "little").translate(_REV8)
+    return head + b2a_base64(data, newline=False)[:need].translate(_TO_DATA).decode()
 
 
 def decode_mask(text: str) -> tuple[int, int]:
@@ -112,9 +124,9 @@ def decode_mask(text: str) -> tuple[int, int]:
         raise Graph6Error(f"need {need} adjacency bytes for n={n}, found {got}", len(line))
     if got > need:
         raise Graph6Error("trailing garbage after adjacency data", body_at + need)
-    mask = 0
-    for ch in reversed(line[body_at:]):
-        mask = (mask << 6) | _REV6[ord(ch) - 63]
+    body = line[body_at:].encode().translate(_TO_B64)
+    data = a2b_base64(body + b"A" * (-len(body) % 4))  # "A" is a zero group
+    mask = int.from_bytes(data.translate(_REV8), "little")
     if mask >> nbits:
         extra = (mask >> nbits).bit_length() - 1 + nbits
         raise Graph6Error(f"padding bit {extra} is set", body_at + extra // 6)
@@ -123,7 +135,12 @@ def decode_mask(text: str) -> tuple[int, int]:
 
 def graph6_encode(g: Graph) -> str:
     """graph6 line for g (labeled, not canonicalized)."""
-    return encode_mask(g.n, sum(1 << (v * (v - 1) // 2 + u) for u, v in g.edges))
+    _size_prefix(g.n)  # before the mask, which an oversized n makes huge
+    data = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        data[k >> 3] |= 1 << (k & 7)
+    return encode_mask(g.n, int.from_bytes(data, "little"))
 
 
 def graph6_decode(text: str) -> Graph:

@@ -109,7 +109,7 @@ def _expected_value(symbols, n: int) -> int:
     raise GraphError(f"no registered formula among {symbols} covers n={n}")
 
 
-def verify_theorem(claim, ns=None, workers=1, allow_large=False) -> VerdictReport:
+def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
     """Exhaustively check one extremal claim over the given orders."""
     if claim not in _THEOREMS:
         raise GraphError(f"unknown theorem claim {claim!r}, choose from {THEOREM_CLAIMS}")
@@ -125,9 +125,7 @@ def verify_theorem(claim, ns=None, workers=1, allow_large=False) -> VerdictRepor
         symbols.append(cfg["floor"])
     sources = {s: reference(s).provenance for s in symbols}
     # every order is validated before the first scan starts
-    specs = [
-        EnumSpec(n=n, c=cfg["c"], workers=workers, allow_large=allow_large) for n in ns
-    ]
+    specs = [EnumSpec(n=n, c=cfg["c"], allow_large=allow_large) for n in ns]
     t0 = time.perf_counter()
     rows = []
     cex = []

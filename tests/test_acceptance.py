@@ -42,9 +42,11 @@ from zagreb import (
     s_n_k4,
     s_n_m,
     star_graph,
+    verify_theorem,
 )
 from zagreb.graph6 import decode_mask, encode_mask
 from zagreb.verify import _iter_connected
+from util import labeled_connected_counts
 
 # labeled connected graphs per vertex count (all edge counts)
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
@@ -276,15 +278,44 @@ def test_criterion_7_graph6_round_trip():
     )
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_scan_determinism():
     docs = []
-    for workers in (1, 2, 8):
-        rep = extremal_scan(EnumSpec(n=7, c=3, workers=workers), "em1")
-        doc = rep.to_dict()
+    for _ in range(2):
+        doc = extremal_scan(EnumSpec(n=7, c=3), "em1").to_dict()
         doc.pop("wall_time_s")
         docs.append(doc)
-    assert docs[0] == docs[1] == docs[2]
+    assert docs[0] == docs[1]
+    labeled = extremal_scan(EnumSpec(n=7, c=3, dedup=False), "em1")
+    visited, lo, hi, lo_masks, hi_masks = _kernel.scan_extremal(7, 9, "em1")
+    assert (labeled.visited, labeled.min_value, labeled.max_value) == (visited, lo, hi)
+    assert labeled.min_graphs == tuple(encode_mask(7, k) for k in lo_masks)
+    assert labeled.max_graphs == tuple(encode_mask(7, k) for k in hi_masks)
+    assert labeled.visited == docs[0]["visited"]
     print(
-        "criterion 8: PASS - n=7, c=3 scan reports are identical at 1, 2 "
-        "and 8 workers once timing is stripped"
+        f"criterion 8: PASS - two n=7, c=3 class scans agree once timing is "
+        f"stripped, and the labeled report equals the kernel walk of all "
+        f"{visited} labeled graphs ({len(lo_masks)} min and {len(hi_masks)} "
+        f"max witnesses)"
+    )
+
+
+def test_tricyclic_theorems_pinned_at_n9():
+    # n=9 sits behind allow_large; visited is the labeled recurrence's
+    # c(9, 11), not a count taken from the class generator
+    t0 = time.perf_counter()
+    floor = verify_theorem("theorem-4", ns=[9], allow_large=True)
+    peak = verify_theorem("theorem-5", ns=[9], allow_large=True)
+    assert floor.passed and peak.passed
+    (frow,), (prow,) = floor.rows, peak.rows
+    assert frow["visited"] == prow["visited"] == 405_918_324
+    assert frow["visited"] == labeled_connected_counts(9)[9][11]
+    assert frow["floor"] == 4 * 9 + 68 == 104 and frow["min"] >= 104
+    assert prow["max"] == prow["expected_max"] == 9**3 - 5 * 9**2 + 20 * 9 + 32 == 536
+    assert sorted(prow["max_witnesses"]) == sorted(
+        {canonical_form(s_n_m(9, 11)), canonical_form(s_n_k4(9))}
+    )
+    print(
+        f"n=9 tricyclic: PASS - {frow['visited']} labeled graphs, min "
+        f"{frow['min']} >= floor 104, max 536 at s_n_m(9, 11) and s_n_k4(9), "
+        f"in {time.perf_counter() - t0:.1f}s"
     )

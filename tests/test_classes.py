@@ -1,8 +1,9 @@
 """The isomorphism-class generator against sources independent of it.
 
 Class counts come from OEIS A001349 and the networkx graph atlas, orbit
-weights from the frozen labeled counts of the acceptance gate, |Aut|
-from networkx's matcher, and class scans from the labeled kernel.
+weights from the labeled connected-graph recurrence and the frozen
+labeled counts of the acceptance gate, |Aut| from networkx's matcher,
+and class and labeled scans from the labeled kernel walk.
 """
 
 import json
@@ -24,9 +25,14 @@ from zagreb import (
     graph6_decode,
     make_graph,
 )
+from zagreb import _kernel
 from zagreb.enumeration import _class_levels
 from zagreb.graph6 import encode_mask, graph_of_mask
 from test_acceptance import ENUMERATED_SLICE_TOTAL, LABELED_CONNECTED
+from util import labeled_connected_counts
+
+# connected labeled graphs by (n, m), from the recurrence
+RECURRENCE = labeled_connected_counts(8)
 
 # connected unlabeled graphs on n vertices
 A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -63,17 +69,25 @@ def test_connected_classes_is_one_level(levels):
         connected_classes(0, 0)
 
 
+def test_recurrence_reproduces_the_frozen_counts():
+    assert {n: sum(RECURRENCE[n]) for n in range(1, 8)} == LABELED_CONNECTED
+    slices = sum(
+        RECURRENCE[n][m] for n in range(1, 9) for m in range(n - 1, n + 3)
+        if m < len(RECURRENCE[n])
+    )
+    assert slices == ENUMERATED_SLICE_TOTAL
+
+
 def test_weights_sum_to_the_labeled_counts(levels):
+    # labeled `visited` is this weight sum in every scan, dedup or not
     for n, by_m in levels.items():
         order = math.factorial(n)
-        total = sum(order // aut for classes in by_m.values() for aut in classes.values())
-        assert total == LABELED_CONNECTED[n], n
-    slices = 0
-    for n in range(1, 9):
-        order = math.factorial(n)
-        for _, classes in islice(_class_levels(n), 4):  # c = 0..3
-            slices += sum(order // aut for aut in classes.values())
-    assert slices == ENUMERATED_SLICE_TOTAL
+        for m, classes in by_m.items():
+            weight = sum(order // aut for aut in classes.values())
+            assert weight == RECURRENCE[n][m], (n, m)
+    order = math.factorial(8)
+    for m, classes in islice(_class_levels(8), 4):  # c = 0..3
+        assert sum(order // aut for aut in classes.values()) == RECURRENCE[8][m], m
 
 
 def test_aut_orders_match_networkx_self_maps(levels):
@@ -97,18 +111,35 @@ def _canonicalized(doc: dict) -> dict:
     return doc
 
 
+def _kernel_walk_report(spec, index) -> dict:
+    # what a labeled (dedup=False) scan must print, from the kernel walk
+    visited, lo, hi, lo_masks, hi_masks = _kernel.scan_extremal(spec.n, spec.m, index)
+    return {
+        "schema": 1, "n": spec.n, "c": spec.c, "m": spec.m, "index": index,
+        "dedup": False, "visited": visited,
+        "min": {"value": lo, "classes": None,
+                "graphs": [encode_mask(spec.n, k) for k in lo_masks]},
+        "max": {"value": hi, "classes": None,
+                "graphs": [encode_mask(spec.n, k) for k in hi_masks]},
+        "wall_time_s": 0.0,
+    }
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(dict(doc, wall_time_s=0.0), sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_class_scans_equal_canonicalized_labeled_scans(n):
+    # the labeled side is the kernel walk, which shares no code with classes
     for c in range(4):
         try:
             spec = EnumSpec(n=n, c=c)
         except GraphError:
             continue
         for index in INDEX_IDS:
-            rep = extremal_scan(spec, index)
+            walk = _kernel_walk_report(spec, index)
             labeled = extremal_scan(replace(spec, dedup=False), index)
-            want = _canonicalized(dict(labeled.to_dict(), wall_time_s=0.0))
-            got = dict(rep.to_dict(), wall_time_s=0.0)
-            assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(
-                want, sort_keys=True, indent=2
-            ), (n, c, index)
+            assert _json(labeled.to_dict()) == _json(walk), (n, c, index)
+            rep = extremal_scan(spec, index)
+            assert _json(rep.to_dict()) == _json(_canonicalized(walk)), (n, c, index)

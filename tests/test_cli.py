@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import zagreb.cli as cli_mod
-from zagreb import _kernel, enumeration
+from zagreb import enumeration
 from zagreb import (
     EnumSpec,
     VerdictReport,
@@ -226,21 +226,31 @@ def test_verify_lemma_bad_options_exit_2(capsys):
     assert code == 2 and out == "" and "trials" in err
 
 
-@pytest.mark.parametrize(
-    "extra", [("--workers", "2"), ("--workers", "1"), ("--allow-large",)]
-)
+@pytest.mark.parametrize("extra", [("--n", "4..8"), ("--allow-large",)])
 def test_verify_lemma_rejects_theorem_options(capsys, extra):
-    # an explicit value is refused even when it equals the theorem default
     code, out, err = run(capsys, "verify", "lemma-2", "--trials", "0", *extra)
     assert code == 2 and out == ""
     assert f"{extra[0]} applies to theorem claims only" in err
 
 
 def test_verify_theorem_accepts_explicit_options(capsys):
-    code, out, _ = run(
-        capsys, "verify", "theorem-1", "--n", "4", "--workers", "1", "--allow-large"
-    )
+    code, out, _ = run(capsys, "verify", "theorem-1", "--n", "4", "--allow-large")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "5", "--cyclomatic", "1"),
+        ("verify", "theorem-1", "--n", "4"),
+        ("verify", "lemma-1", "--trials", "0"),
+    ],
+)
+def test_workers_option_is_rejected(capsys, argv):
+    # scans run in one process, so there is no worker count to set
+    code, out, err = run(capsys, *argv, "--workers", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --workers 2" in err
 
 
 @pytest.mark.parametrize(
@@ -258,7 +268,6 @@ def test_verify_theorem_rejects_orders_before_any_scan(
     def refuse(*args, **kwargs):
         raise AssertionError("a scan ran before every order was validated")
 
-    monkeypatch.setattr(_kernel, "scan_extremal", refuse)
     monkeypatch.setattr(enumeration, "connected_classes", refuse)
     code, out, err = run(capsys, "verify", claim, "--n", orders)
     assert code == 2 and out == "" and fragment in err

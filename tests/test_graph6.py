@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,35 @@ def test_column_bit_order():
         width = 6 * len(payload)
         assert bits >> (width - 1 - k) & 1 == 1
         assert bits.bit_count() == 1
+
+
+@pytest.mark.parametrize("make", [path_graph, star_graph])
+def test_large_graphs_round_trip_in_linear_time(make):
+    # a shift of the whole mask per 6-bit group or per edge is quadratic here
+    g = make(4000)
+    t0 = time.perf_counter()
+    line = graph6_encode(g)
+    n, mask = decode_mask(line)
+    back = encode_mask(n, mask)
+    wall = time.perf_counter() - t0
+    assert n == 4000 and back == line
+    set_bits = [m.start() for m in re.finditer("1", f"{mask:b}"[::-1])]
+    assert set_bits == sorted(v * (v - 1) // 2 + u for u, v in g.edges)
+    assert wall < 5.0, wall
+
+
+class _OversizedGraph:
+    # stands in for star_graph(258048), whose mask alone would take 4 GB
+    n = 258048
+
+    @property
+    def edges(self):
+        raise AssertionError("the mask was built before n was checked")
+
+
+def test_oversized_graph_fails_before_its_mask_is_built():
+    with pytest.raises(Graph6Error, match="n=258048 outside encodable range 1..258047"):
+        graph6_encode(_OversizedGraph())
 
 
 def _slow_graph(n, mask):

@@ -6,6 +6,7 @@ index values straight from the definitions.
 """
 
 from itertools import combinations
+from math import comb
 
 from zagreb import Graph, make_graph
 
@@ -79,3 +80,24 @@ def random_graph(rng, n_max=8) -> Graph:
 def relabeled(g: Graph, perm) -> Graph:
     """g with vertex i renamed perm[i]."""
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def labeled_connected_counts(n_max):
+    """c[n][m]: connected labeled graphs with n vertices and m edges.
+
+    Each of the C(C(n,2), m) graphs on n vertices is the component of
+    vertex 0, with k vertices and j edges, next to any graph on the other
+    n - k vertices, so
+    c(n, m) = C(C(n,2), m) - sum_{k<n} C(n-1, k-1) sum_j c(k, j) C(C(n-k,2), m-j).
+    """
+    c = {}
+    for n in range(1, n_max + 1):
+        full = comb(n, 2)
+        c[n] = [comb(full, m) for m in range(full + 1)]
+        for k in range(1, n):
+            rest, ways = comb(n - k, 2), comb(n - 1, k - 1)
+            for m in range(full + 1):
+                c[n][m] -= ways * sum(
+                    c[k][j] * comb(rest, m - j) for j in range(min(m, comb(k, 2)) + 1)
+                )
+    return c
