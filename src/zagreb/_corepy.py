@@ -6,14 +6,13 @@ form connected labeled graphs, depth-first over edge indices in column
 indices.  One loop body serves every position; it stops where the
 remaining positions could no longer be filled.
 
-Connectivity is a union-find over the chosen prefix whose unions keep
-the larger root, so each root is its component's maximum vertex and one
-descending pass flattens it.  It runs once per frame, where it prunes:
-inside the last column (edges into vertex n-1) the suffix from index
-lastg + u0 only rescues components owning a vertex >= u0, capping the
-loop at lastg + min(component maxima); at the last position a frame
-with more than two components yields nothing, and with two only the
-edges joining them complete a connected graph.
+Connectivity is tested once, at the last position.  Each vertex keeps
+its neighbours in the chosen prefix as a bitmask, and a frame of the
+last position flood-fills from vertex 0.  If that reaches every vertex,
+any remaining edge completes a connected graph.  Otherwise a second
+fill from the lowest vertex left out must reach all the rest, or the
+frame yields nothing; if it does, only the edges joining the two sides
+complete a connected graph.
 
 Each connected leaf is handed on as its mask, the live degree list and
 the chosen edge pairs.  scan_extremal scores it with the index's one
@@ -37,7 +36,9 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
     (u, v), in the form indices.FROM_DEGREES takes; it must not keep
     references to them.  Returns the number of connected subsets
     delivered.  The first-edge index is restricted to [lo, hi) so that
-    disjoint ranges partition the work.
+    disjoint ranges partition the work.  Only frames of the last
+    position test connectivity, by the flood fills the module docstring
+    describes.
     """
     if m < 0:
         raise ValueError(f"edge count must be nonnegative, got {m}")
@@ -53,33 +54,25 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
     if m > E or lo >= hi:
         return 0
 
+    full = (1 << n) - 1
     deg = [0] * n
+    nb = [0] * n  # nb[v]: bitmask of v's neighbours in the chosen prefix
     sel = [(0, 0)] * m
-    root = [0] * n
-    lastg = E - (n - 1)  # index of the first edge into vertex n-1
     last = m - 1
     visited = 0
 
-    def roots(depth: int) -> int:
-        # root[t] = largest vertex of t's component in sel[:depth]; returns
-        # the component count
-        root[:] = range(n)
-        comps = n
-        for jj in range(depth):
-            a, b = sel[jj]
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            if a != b:
-                comps -= 1
-                if a < b:
-                    root[a] = b
-                else:
-                    root[b] = a
-        for t in range(n - 2, -1, -1):  # parents point upward: one pass
-            root[t] = root[root[t]]
-        return comps
+    def flood(seen: int) -> int:
+        # every vertex reachable from the vertices in seen
+        todo = seen
+        while todo:
+            reach = 0
+            while todo:
+                low = todo & -todo
+                reach |= nb[low.bit_length() - 1]
+                todo ^= low
+            todo = reach & ~seen
+            seen |= todo
+        return seen
 
     def rec(start: int, at: int, stop: int, mask: int) -> None:
         nonlocal visited
@@ -87,22 +80,19 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
         end = E - last + at  # room for the last - at edges still to pick
         if end > stop:
             end = stop
-        join = False
-        if leaf or end > lastg:
-            comps = roots(at)
-            if leaf:
-                if comps > 2:
+        cross = False
+        if leaf:
+            side = flood(1)
+            if side != full:
+                rest = full ^ side
+                if side | flood(rest & -rest) != full:
                     return
-                join = comps == 2
-            if end > lastg:
-                cap = lastg + min(root) + 1
-                if end > cap:
-                    end = cap
+                cross = True
         for i in range(start, end):
             p = P[i]
             u, v = p
-            if join and root[u] == root[v]:
-                continue
+            if cross and (side >> u & 1) == (side >> v & 1):
+                continue  # both ends on one side of a two-component prefix
             deg[u] += 1
             deg[v] += 1
             sel[at] = p
@@ -110,7 +100,11 @@ def _driver(n: int, m: int, lo: int, hi: int, on_leaf) -> int:
                 visited += 1
                 on_leaf(mask | 1 << i, deg, sel)
             else:
+                nb[u] ^= 1 << v
+                nb[v] ^= 1 << u
                 rec(i + 1, at + 1, E, mask | 1 << i)
+                nb[u] ^= 1 << v
+                nb[v] ^= 1 << u
             deg[u] -= 1
             deg[v] -= 1
 

@@ -74,14 +74,16 @@ def _edge_count_rule(text: str):
 
 def _cmd_compute(args) -> int:
     # bytes are decoded strictly here, whatever the locale or stdin's text
-    # layer would do, so a decode error names the offset of the first bad byte
+    # layer would do, so a decode error names the offset of the first bad byte;
+    # lines end at "\n" only (str.splitlines would also cut at \v, \f, \x85,
+    # a lone \r and more), so those bytes reach decode_mask and are rejected
     try:
         if args.input == "-":
             data = sys.stdin.buffer.read()
         else:
             with open(args.input, "rb") as fh:
                 data = fh.read()
-        lines = data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if args.input == "-" else args.input
         raise GraphError(f"cannot read {source}: {exc}") from None

@@ -9,7 +9,7 @@ enumeration kernel and this codec therefore share one bit layout.
 
 Column v of a mask is its next run of v bits; their set bits are the
 lower neighbours of v.  graph_of_mask(), the package's one mask -> Graph
-builder, walks the columns once, with no table of pairs and no sort.
+builder, walks the set bits once, with no table of pairs and no sort.
 """
 
 from __future__ import annotations
@@ -51,22 +51,28 @@ def edge_table(n: int) -> tuple[tuple[int, int], ...]:
 def graph_of_mask(n: int, mask: int) -> Graph:
     """Graph on n vertices with edge k present iff bit k of mask is set.
 
-    Row v gets its lower neighbours from column v; later columns append
-    the higher ones in ascending order, so edges come out lexicographic.
+    The set bits are found in ascending index order by str.rfind on the
+    binary string, and a column pointer advances with them, so the walk
+    is linear in the mask's length.  Each row comes out ascending: its
+    lower neighbours from its own column, then its higher ones from
+    later columns; the higher ones give the edges in lexicographic order.
     """
     rows: list[list[int]] = [[] for _ in range(n)]
-    lower = [0] * n
-    for v in range(1, n):
-        col = mask & ((1 << v) - 1)
-        mask >>= v
-        row = rows[v]
-        while col:
-            u = col.bit_length() - 1
-            col ^= 1 << u
-            row.append(u)
-            rows[u].append(v)
-        lower[v] = len(row)
-    edges = tuple([(u, v) for u in range(n) for v in rows[u][lower[u]:]])
+    bits = bin(mask)
+    top = len(bits) - 1  # bit k of mask is bits[top - k]
+    v = first = nxt = 0  # column v holds the indices first .. nxt - 1
+    at = bits.rfind("1", 2)
+    while at > 1:
+        k = top - at
+        while k >= nxt:
+            v += 1
+            first = nxt
+            nxt += v
+        u = k - first
+        rows[v].append(u)
+        rows[u].append(v)
+        at = bits.rfind("1", 2, at)
+    edges = tuple([(u, w) for u in range(n) for w in rows[u] if w > u])
     return _blessed(n, rows, edges)
 
 

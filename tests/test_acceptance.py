@@ -15,6 +15,7 @@ evidence without turning the gate red.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -191,7 +192,9 @@ def test_criterion_6_line_graph_oracle():
     t0 = time.perf_counter()
     enumerated = 0
     edgeless = 0
+    slices = Counter()
     for g in _iter_connected(7):
+        slices[g.n, g.m] += 1
         if g.m == 0:
             edgeless += 1  # K1: line graph undefined, nothing to check
             continue
@@ -200,6 +203,10 @@ def test_criterion_6_line_graph_oracle():
         assert em2(g) == m2(lg), graph6_encode(g)
         enumerated += 1
     assert enumerated + edgeless == sum(LABELED_CONNECTED.values())
+    counts = labeled_connected_counts(7)
+    assert slices == {
+        (n, m): c for n, row in counts.items() for m, c in enumerate(row) if c
+    }
 
     rng = random.Random(0)
     for _ in range(1000):
@@ -220,6 +227,7 @@ def test_criterion_7_graph6_round_trip():
 
     # decode(encode(.)) is the identity on every enumerated slice n <= 8
     checked = 0
+    counts = labeled_connected_counts(8)
     for n in range(1, 9):
         full = n * (n - 1) // 2
         for c in range(4):
@@ -234,7 +242,9 @@ def test_criterion_7_graph6_round_trip():
                         f"graph6 round trip broke: n={n} mask={mask} -> {line!r}"
                     )
 
-            checked += _kernel.visit_connected(n, m, 0, None, round_trip)
+            visited = _kernel.visit_connected(n, m, 0, None, round_trip)
+            assert visited == counts[n][m], (n, m)
+            checked += visited
     assert checked == ENUMERATED_SLICE_TOTAL
 
     # whole-Graph round trips, exhaustive for n <= 6, sampled beyond

@@ -57,10 +57,31 @@ def test_compute_from_file_json(tmp_path, capsys):
 
 def test_compute_reports_bad_line_position(tmp_path, capsys):
     src = tmp_path / "graphs.g6"
-    src.write_text("C~\nC!\n")
+    for text in ("C~\nC!\n", "C~\f\nC!\n"):  # the trailing \f is stripped
+        src.write_text(text)
+        code, out, err = run(capsys, "compute", str(src))
+        assert code == 2
+        assert err.startswith("error: line 2: "), (text, err)
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x85", "\r"])
+def test_compute_splits_lines_at_newline_only(tmp_path, capsys, sep):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(f"C~{sep}Bw\n".encode())
     code, out, err = run(capsys, "compute", str(src))
-    assert code == 2
-    assert "line 2" in err and err.startswith("error:")
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: byte {ord(sep)} outside graph6 range 63..126 (byte 2)\n"
+
+
+def test_compute_reads_crlf_like_lf(tmp_path, capsys):
+    outs = []
+    for eol in ("\n", "\r\n"):
+        src = tmp_path / "graphs.g6"
+        src.write_bytes(eol.join(["C~", "Ch", "", "Bw", ""]).encode())
+        code, out, err = run(capsys, "compute", str(src), "--index", "all")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 13
 
 
 def test_compute_missing_file(capsys):

@@ -102,11 +102,25 @@ KERNEL_N7_DIGESTS = {
 }
 
 
+# sha256 of the masks visit_connected(7, m) delivers, each as b"%d,", in
+# walk order; taken when connectivity was still a union-find per frame
+VISIT_N7_DIGESTS = {
+    6: "7f2b0130c360e6406259fafed288483849256595974e68834fb552bdeb3d14e9",
+    9: "722f4c5f6cc402913a0c953771f955cabb011517582ca5e8eedab21841b30c69",
+    12: "18967e660603d8107926eff85bf2b0ccea58aca62721e6fa4f528150ddfd96d2",
+    16: "80dc22498ded406364d6b1a7ad0381063e3fc4b9ec9b8c722d0f4ade1f5f22dd",
+}
+
+
 def test_kernel_pinned_past_brute_force_size():
     for m, digest in KERNEL_N7_DIGESTS.items():
         h = hashlib.sha256()
         for index in ("m1", "m2", "em1", "em2"):
             h.update(repr(_kernel.scan_extremal(7, m, index)).encode())
+        assert h.hexdigest() == digest, m
+    for m, digest in VISIT_N7_DIGESTS.items():
+        h = hashlib.sha256()
+        _kernel.visit_connected(7, m, 0, None, lambda mask: h.update(b"%d," % mask))
         assert h.hexdigest() == digest, m
 
 

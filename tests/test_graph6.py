@@ -118,6 +118,14 @@ def test_large_graphs_round_trip_in_linear_time(make):
     set_bits = [m.start() for m in re.finditer("1", f"{mask:b}"[::-1])]
     assert set_bits == sorted(v * (v - 1) // 2 + u for u, v in g.edges)
     assert wall < 5.0, wall
+    # the Graph build from the mask: a shift of the mask per column is
+    # quadratic here
+    g = make(10_000)
+    line = graph6_encode(g)
+    t0 = time.perf_counter()
+    assert graph6_decode(line) == g
+    wall = time.perf_counter() - t0
+    assert wall < 5.0, wall
 
 
 class _OversizedGraph:
