@@ -1,10 +1,13 @@
 """Enumeration kernel entry point.
 
-enumeration and verify call the kernel through this module, never
-through _corepy directly.  BACKEND names the kernel; "py" is the only
-one.  ZAGREB_KERNEL may be unset, empty or "py"; any other value is an
-import error, so a request for a kernel that does not exist fails
-loudly.
+enumeration.enumerate_connected, the package's one caller of the
+kernel, reaches it through this module, never through _corepy
+directly.  scan_extremal, the labeled min/max walk, is re-exported for
+the test suite and for perfbench/tracer.py, which wraps it.
+
+BACKEND names the kernel; "py" is the only one.  ZAGREB_KERNEL may be
+unset, empty or "py"; any other value is an import error, so a request
+for a kernel that does not exist fails loudly.
 """
 
 from __future__ import annotations

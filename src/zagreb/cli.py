@@ -76,7 +76,9 @@ def _cmd_compute(args) -> int:
     # bytes are decoded strictly here, whatever the locale or stdin's text
     # layer would do, so a decode error names the offset of the first bad byte;
     # lines end at "\n" only (str.splitlines would also cut at \v, \f, \x85,
-    # a lone \r and more), so those bytes reach decode_mask and are rejected
+    # a lone \r and more), and only spaces, tabs and the \r of a CRLF are
+    # trimmed from their ends (str.strip would also drop \v, \f, \x1c..\x1f,
+    # \x85, \u2028 ...), so every other byte reaches decode_mask and is rejected
     try:
         if args.input == "-":
             data = sys.stdin.buffer.read()
@@ -90,7 +92,7 @@ def _cmd_compute(args) -> int:
     wanted = INDEX_IDS if args.index == "all" else (args.index,)
     rows = []
     for i, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(" \t\r")
         if not text:
             continue
         try:

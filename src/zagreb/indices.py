@@ -5,11 +5,10 @@ The vertex forms sum over vertices/edges of the graph itself; the edge
 an edge uv is deg(u) + deg(v) - 2.  Equivalently, em1 and em2 are m1 and
 m2 of the line graph; the test suite holds the package to that identity.
 
-This module is the package's one definition of each index.  Each formula
-is a function of a degree list and a list of edge pairs (u, v), listed in
-FROM_DEGREES.  The Graph API below feeds it a graph's degrees and edges;
-the pure enumeration kernel feeds it the live degrees and chosen pairs
-at every leaf of its walk.
+This module is the package's one definition of each index, written as a
+function of a Graph that reads its degrees from the adjacency rows and
+walks its edge list.  Every caller, the enumeration kernel's scans
+included, scores a Graph through them.
 """
 
 from __future__ import annotations
@@ -19,58 +18,32 @@ from .graph import Graph, GraphError
 INDEX_IDS = ("m1", "m2", "em1", "em2")
 
 
-def _m1(deg, edges) -> int:
+def m1(g: Graph) -> int:
+    """First Zagreb index: sum of squared vertex degrees."""
+    deg = list(map(len, g._adj))
     t = 0
     for d in deg:
         t += d * d
     return t
 
 
-def _m2(deg, edges) -> int:
+def m2(g: Graph) -> int:
+    """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
+    deg = list(map(len, g._adj))
     t = 0
-    for u, v in edges:
+    for u, v in g._edges:
         t += deg[u] * deg[v]
     return t
 
 
-def _em1(deg, edges) -> int:
+def em1(g: Graph) -> int:
+    """First reformulated Zagreb index: sum of squared edge degrees."""
+    deg = list(map(len, g._adj))
     t = 0
-    for u, v in edges:
+    for u, v in g._edges:
         ed = deg[u] + deg[v] - 2
         t += ed * ed
     return t
-
-
-def _em2(deg, edges) -> int:
-    # Two distinct edges of a simple graph share at most one endpoint, so
-    # with s(v) the sum of the degrees of the edges at v, s(v)^2 is their
-    # squares plus twice the pairs at v: sum(s(v)^2) = 2*em1 + 2*em2.
-    s = [0] * len(deg)
-    squares = 0
-    for u, v in edges:
-        ed = deg[u] + deg[v] - 2
-        s[u] += ed
-        s[v] += ed
-        squares += ed * ed
-    return sum([x * x for x in s]) // 2 - squares
-
-
-FROM_DEGREES = {"m1": _m1, "m2": _m2, "em1": _em1, "em2": _em2}
-
-
-def m1(g: Graph) -> int:
-    """First Zagreb index: sum of squared vertex degrees."""
-    return _m1(list(map(len, g._adj)), g._edges)
-
-
-def m2(g: Graph) -> int:
-    """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
-    return _m2(list(map(len, g._adj)), g._edges)
-
-
-def em1(g: Graph) -> int:
-    """First reformulated Zagreb index: sum of squared edge degrees."""
-    return _em1(list(map(len, g._adj)), g._edges)
 
 
 def em2(g: Graph) -> int:
@@ -79,7 +52,18 @@ def em2(g: Graph) -> int:
     Sum of deg(e)*deg(f) over unordered pairs of distinct adjacent edges,
     each pair counted once.
     """
-    return _em2(list(map(len, g._adj)), g._edges)
+    # Two distinct edges of a simple graph share at most one endpoint, so
+    # with s(v) the sum of the degrees of the edges at v, s(v)^2 is their
+    # squares plus twice the pairs at v: sum(s(v)^2) = 2*em1 + 2*em2.
+    deg = list(map(len, g._adj))
+    s = [0] * len(deg)
+    squares = 0
+    for u, v in g._edges:
+        ed = deg[u] + deg[v] - 2
+        s[u] += ed
+        s[v] += ed
+        squares += ed * ed
+    return sum([x * x for x in s]) // 2 - squares
 
 
 INDEX_FUNCS = {"m1": m1, "m2": m2, "em1": em1, "em2": em2}

@@ -27,7 +27,6 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import _kernel
 from .canon import canonical_form
 from .enumeration import EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
@@ -225,17 +224,6 @@ def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 12) 
         ]
         edges += rng.sample(spare, min(c, len(spare)))
     return _from_edges(n, edges)
-
-
-def _iter_connected(n_max: int):
-    # every connected labeled graph with n <= n_max, all edge counts; the
-    # labeled reference the enumerated lemma corpus stands for
-    for n in range(1, n_max + 1):
-        for m in range(max(n - 1, 0), n * (n - 1) // 2 + 1):
-            masks: list[int] = []
-            _kernel.visit_connected(n, m, 0, None, masks.append)
-            for mask in masks:
-                yield graph_of_mask(n, mask)
 
 
 def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:

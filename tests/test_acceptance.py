@@ -46,8 +46,7 @@ from zagreb import (
     verify_theorem,
 )
 from zagreb.graph6 import decode_mask, encode_mask
-from zagreb.verify import _iter_connected
-from util import labeled_connected_counts
+from util import iter_connected, labeled_connected_counts
 
 # labeled connected graphs per vertex count (all edge counts)
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
@@ -193,7 +192,7 @@ def test_criterion_6_line_graph_oracle():
     enumerated = 0
     edgeless = 0
     slices = Counter()
-    for g in _iter_connected(7):
+    for g in iter_connected(7):
         slices[g.n, g.m] += 1
         if g.m == 0:
             edgeless += 1  # K1: line graph undefined, nothing to check
@@ -249,7 +248,7 @@ def test_criterion_7_graph6_round_trip():
 
     # whole-Graph round trips, exhaustive for n <= 6, sampled beyond
     graphs = 0
-    for g in _iter_connected(6):
+    for g in iter_connected(6):
         assert graph6_decode(graph6_encode(g)) == g
         graphs += 1
     assert graphs == sum(LABELED_CONNECTED[n] for n in range(1, 7))

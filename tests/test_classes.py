@@ -131,7 +131,10 @@ def _json(doc: dict) -> str:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_class_scans_equal_canonicalized_labeled_scans(n):
-    # the labeled side is the kernel walk, which shares no code with classes
+    # the labeled side is the kernel walk, which shares no code with class
+    # generation; both sides score graphs through graph_of_mask and
+    # INDEX_FUNCS, which test_kernel_walk_matches_brute_force checks against
+    # the naive definitions in util
     for c in range(4):
         try:
             spec = EnumSpec(n=n, c=c)

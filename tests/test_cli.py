@@ -3,8 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zagreb.cli as cli_mod
 from zagreb import enumeration
@@ -57,11 +61,21 @@ def test_compute_from_file_json(tmp_path, capsys):
 
 def test_compute_reports_bad_line_position(tmp_path, capsys):
     src = tmp_path / "graphs.g6"
-    for text in ("C~\nC!\n", "C~\f\nC!\n"):  # the trailing \f is stripped
-        src.write_text(text)
+    for text, line, byte, pos in (
+        ("C~\nC!\n", 2, 33, 1),
+        ("C~ \t\r\nC!\n", 2, 33, 1),  # spaces, tabs and \r are trimmed
+        ("\vC~\n", 1, 11, 0),  # no other control byte is
+        ("C~\f\nC!\n", 1, 12, 2),
+        ("C~\x1c\n", 1, 28, 2),
+        ("C~\x85\n", 1, 133, 2),
+        ("C~\u2028\n", 1, 8232, 2),
+    ):
+        src.write_bytes(text.encode())
         code, out, err = run(capsys, "compute", str(src))
-        assert code == 2
-        assert err.startswith("error: line 2: "), (text, err)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: line {line}: byte {byte} outside graph6 range 63..126 (byte {pos})\n"
+        ), text
 
 
 @pytest.mark.parametrize("sep", ["\v", "\f", "\x85", "\r"])
@@ -82,6 +96,50 @@ def test_compute_reads_crlf_like_lf(tmp_path, capsys):
         assert code == 0 and err == ""
         outs.append(out)
     assert outs[0] == outs[1] and outs[0].count("\n") == 13
+
+
+def _compute_stdin(data: bytes):
+    # compute - --index all on data as stdin's bytes: (exit code, stdout, stderr)
+    stdin = type("S", (), {"buffer": io.BytesIO(data)})()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(["compute", "-", "--index", "all"])
+    return code, out.getvalue(), err.getvalue()
+
+
+# arbitrary bytes, and bytes drawn mostly from graph6's own alphabet and
+# the line-end and blank bytes, so that many inputs decode or get past
+# the byte check into the size, length and padding checks
+GRAPH6_ISH_BYTES = st.lists(
+    st.sampled_from(b"?@ABCDEFGH_`ow~\n\r \t\x0b"), max_size=24
+).map(bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.binary(max_size=32), GRAPH6_ISH_BYTES))
+def test_compute_on_arbitrary_bytes_exits_0_or_2(data):
+    code, out, err = _compute_stdin(data)
+    assert code in (0, 2), (data, code)
+    if code == 2:
+        assert out == ""
+        assert err.startswith(("error: line ", "error: cannot read stdin")), err
+    else:
+        lines = [t for t in data.decode().split("\n") if t.strip(" \t\r")]
+        assert err == "" and len(out.splitlines()) == 1 + 4 * len(lines)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("~~~~~~~~", "graphs with n > 258047 are not supported (byte 1)"),
+        ("~~??", "graphs with n > 258047 are not supported (byte 1)"),
+        ("~?@", "truncated extended size prefix (byte 3)"),
+        ("~", "truncated extended size prefix (byte 1)"),
+        ("~}~~", "need 5548999681 adjacency bytes for n=258047, found 0 (byte 4)"),
+    ],
+)
+def test_compute_rejects_oversized_input(line, message):
+    assert _compute_stdin(f"C~\n{line}\n".encode()) == (2, "", f"error: line 2: {message}\n")
 
 
 def test_compute_missing_file(capsys):

@@ -1,14 +1,17 @@
 """Brute-force reference implementations the tests check the package against.
 
-Everything here is deliberately naive and independent of the package
-internals: subsets via itertools, connectivity via BFS over dicts,
-index values straight from the definitions.
+Everything here but iter_connected is deliberately naive and
+independent of the package internals: subsets via itertools,
+connectivity via BFS over dicts, index values straight from the
+definitions.  iter_connected streams the labeled kernel walk, whose
+counts labeled_connected_counts pins.
 """
 
 from itertools import combinations
 from math import comb
 
-from zagreb import Graph, make_graph
+from zagreb import Graph, _kernel, make_graph
+from zagreb.graph6 import graph_of_mask
 
 
 def all_pairs(n):
@@ -101,3 +104,17 @@ def labeled_connected_counts(n_max):
                     c[k][j] * comb(rest, m - j) for j in range(min(m, comb(k, 2)) + 1)
                 )
     return c
+
+
+def iter_connected(n_max):
+    """Every connected labeled graph with n <= n_max, all edge counts.
+
+    The graphs come from the labeled kernel walk, in its order; they are
+    the labeled corpus that the enumerated lemma corpus stands for.
+    """
+    for n in range(1, n_max + 1):
+        for m in range(max(n - 1, 0), n * (n - 1) // 2 + 1):
+            masks = []
+            _kernel.visit_connected(n, m, 0, None, masks.append)
+            for mask in masks:
+                yield graph_of_mask(n, mask)
