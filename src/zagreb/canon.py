@@ -7,14 +7,30 @@ get the same string iff they are isomorphic.  The search is exponential
 in the worst case, hence the size cap.
 
 The search prunes only prefixes strictly greater than the best so far,
-so it reaches every labeling that attains the minimum.  Those labelings
-form one coset of Aut(g): every automorphism keeps the (invariant)
-partition, and two labelings give the same bit string iff they differ
-by an automorphism.  Their count is therefore |Aut(g)|, which the class
-enumerator needs for orbit sizes.
+so it reaches every labeling that attains the minimum, bar the twin
+orderings below.  Those labelings form one coset of Aut(g): every
+automorphism keeps the (invariant) partition, and two labelings give the
+same bit string iff they differ by an automorphism.
+
+Twins, two vertices with equal open or equal closed neighbourhoods, are
+swapped by an automorphism that fixes every other vertex, so the twin
+classes give a subgroup T = prod Sym(class) of Aut(g), normal because
+automorphisms map twin classes onto twin classes.  The search places
+the members of each twin class in ascending order only.  Sorting twins
+keeps the bit string, so the minimum is unchanged, and the search meets
+exactly one minimal labeling per coset of T: |Aut(g)| is the number of
+tying leaves times prod |class|!, which the class enumerator needs for
+orbit sizes (McKay & Piperno, "Practical graph isomorphism, II",
+J. Symb. Comput. 60, 2014).  The same search returns generators of the
+canonical graph's automorphism group: the transpositions of consecutive
+twins, which generate T, and for each tying leaf after the first the
+automorphism that carries the first (canonical) labeling onto it, which
+together meet every coset of T.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 from .graph import Graph, GraphError
 from .graph6 import encode_mask
@@ -52,11 +68,16 @@ def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
     return encode_mask(g.n, _canonical_search(g)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[int, int]:
-    """(canonical adjacency mask, |Aut(g)|) from one search; no size cap."""
+def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(canonical adjacency mask, |Aut(g)|, generators) from one search.
+
+    The generators are permutations of the canonical graph's vertices,
+    perm[i] being the image of vertex i, that generate its automorphism
+    group.  No size cap.
+    """
     n = g.n
     if n == 1:
-        return 0, 1
+        return 0, 1, []
 
     colors = _refine_colors(g)
     # Position p must receive a vertex of class block_of[p]; blocks are laid
@@ -65,28 +86,42 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     for color in sorted(set(colors)):
         block_of.extend([color] * colors.count(color))
 
-    nbits = n * (n - 1) // 2
     adj = g._adj
+    # Twin classes, ascending: equal open or equal closed neighbourhoods (no
+    # vertex has both kinds of twin).  prev[v] is the member before v in its
+    # class, or n, which counts as always used: v may be placed only once
+    # prev[v] is, so each class is placed in ascending order.
+    groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    for v in range(n):
+        groups.setdefault((False, adj[v]), []).append(v)
+        groups.setdefault((True, adj[v] | {v}), []).append(v)
+    twins = [c for c in groups.values() if len(c) > 1]
+    prev = [n] * n
+    for c in twins:
+        for a, b in zip(c, c[1:]):
+            prev[b] = a
+
+    nbits = n * (n - 1) // 2
     placed: list[int] = []
-    used = [False] * n
+    used = [False] * n + [True]
     best: int | None = None
-    ties = 0
+    leaves: list[list[int]] = []  # the labelings that attain best
     # prefix lengths: after filling position k there are k(k+1)/2 bits
     tri = [k * (k + 1) // 2 for k in range(n + 1)]
 
     def extend(depth: int, prefix: int) -> None:
-        nonlocal best, ties
+        nonlocal best, leaves
         if depth == n:
             if best is None or prefix < best:
                 best = prefix
-                ties = 1
+                leaves = [placed[:]]
             elif prefix == best:
-                ties += 1
+                leaves.append(placed[:])
             return
         want = block_of[depth]
         candidates = []
         for v in range(n):
-            if not used[v] and colors[v] == want:
+            if not used[v] and colors[v] == want and used[prev[v]]:
                 col = 0
                 for i, w in enumerate(placed):
                     if v in adj[w]:
@@ -112,4 +147,17 @@ def _canonical_search(g: Graph) -> tuple[int, int]:
     for j in range(nbits):
         if (best >> (nbits - 1 - j)) & 1:
             mask |= 1 << j
-    return mask, ties
+    # canonical vertex pos[v] is g's vertex v; leaf q puts q[i] at position i,
+    # which gives the same graph, so i -> pos[q[i]] is an automorphism of it
+    pos = [0] * n
+    for i, v in enumerate(leaves[0]):
+        pos[v] = i
+    gens = [tuple(pos[v] for v in q) for q in leaves[1:]]
+    twin_order = 1
+    for c in twins:
+        twin_order *= factorial(len(c))
+        for a, b in zip(c, c[1:]):
+            swap = list(range(n))
+            swap[pos[a]], swap[pos[b]] = pos[b], pos[a]
+            gens.append(tuple(swap))
+    return mask, len(leaves) * twin_order, gens

@@ -3,14 +3,22 @@
 The extremal theorems concern isomorphism classes, so a deduplicated
 scan walks classes, not labeled graphs.  connected_classes(n, m) builds
 every connected class once: the trees on n vertices come from the trees
-on n-1 vertices with a leaf hung on each vertex, and the classes with
-m+1 edges come from those with m edges by adding each non-edge, every
-candidate deduplicated by its canonical form.  The same canonical
-search counts |Aut| for each class, and a class stands for n!/|Aut| of
-the labeled graphs, so `visited` stays the labeled count.  Nothing is
-cached between calls.  (The augmentation follows McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998, but dedups by canonical
-form instead of canonical augmentation.)
+on n-1 vertices with a leaf hung on a vertex, and the classes with m+1
+edges come from those with m edges by adding a non-edge, every candidate
+deduplicated by its canonical form.  The same canonical search counts
+|Aut| for each class, and a class stands for n!/|Aut| of the labeled
+graphs, so `visited` stays the labeled count.  Nothing is cached between
+calls.
+
+The search also returns generators of each class's automorphism group,
+and a parent is augmented only once per orbit of that group: a leaf on
+the lowest vertex of each vertex orbit, a new edge at the lowest index
+of each non-edge orbit.  An automorphism carries one augmentation of an
+orbit onto another, so they give isomorphic children, and the lowest
+member comes first in the old loop order: the classes, their |Aut| and
+the order they are first met are unchanged.  (This is the orbit step of
+McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998;
+the canonical-form dedup stays in place of canonical augmentation.)
 
 A labeled scan (dedup=False) runs the same class scan and then expands
 only the extreme classes into their labeled members: every relabeling
@@ -198,29 +206,75 @@ def _labeled_members(n: int, masks) -> list[int]:
     return sorted(members, key=lambda k: f"{k:0{width}b}"[::-1], reverse=True)
 
 
-def _dedup(n: int, masks) -> dict[int, int]:
-    # {canonical mask: |Aut|} of the labeled (n-vertex) masks given
+def _dedup(n: int, masks):
+    # {canonical mask: |Aut|} and {canonical mask: Aut generators} of the
+    # labeled (n-vertex) masks given, in the order the classes first appear
     classes: dict[int, int] = {}
+    gens: dict[int, list[tuple[int, ...]]] = {}
     for mask in masks:
-        form, aut = _canonical_search(graph_of_mask(n, mask))
-        classes.setdefault(form, aut)
-    return classes
+        form, aut, perms = _canonical_search(graph_of_mask(n, mask))
+        if form not in classes:
+            classes[form] = aut
+            gens[form] = perms
+    return classes, gens
+
+
+def _orbit_reps(points, perms) -> list[int]:
+    """The lowest point of each orbit of the group the perms generate.
+
+    points is ascending and closed under every perm; the result is
+    ascending too.
+    """
+    reps: list[int] = []
+    seen: set[int] = set()
+    for p in points:
+        if p in seen:
+            continue
+        reps.append(p)
+        seen.add(p)
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for perm in perms:
+                r = perm[q]
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+    return reps
+
+
+def _pair_perm(perm, pairs) -> tuple[int, ...]:
+    # the vertex permutation's action on the indices of the edge table pairs
+    return tuple(
+        a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
+        for a, b in ((perm[u], perm[v]) for u, v in pairs)
+    )
 
 
 def _class_levels(n: int):
     """Yield (m, connected_classes(n, m)) for m = n-1 .. C(n,2) in turn."""
     # a mask on k-1 vertices is the same mask on k with vertex k-1 isolated,
-    # and edge (v, k-1) has index (k-1)(k-2)/2 + v
-    level = {0: 1}
+    # and edge (u, v), u < v, has index v(v-1)/2 + u
+    level, gens = {0: 1}, {0: []}
     for k in range(2, n + 1):
         base = (k - 1) * (k - 2) // 2
-        level = _dedup(k, (mask | 1 << (base + v) for mask in level for v in range(k - 1)))
+        level, gens = _dedup(k, (
+            mask | 1 << (base + v)
+            for mask, perms in gens.items()
+            for v in _orbit_reps(range(k - 1), perms)
+        ))
     full = n * (n - 1) // 2
+    pairs = edge_table(n)
     for m in range(n - 1, full + 1):
         yield m, level
         if m < full:
-            level = _dedup(n, (
-                mask | 1 << j for mask in level for j in range(full) if not mask >> j & 1
+            level, gens = _dedup(n, (
+                mask | 1 << j
+                for mask, perms in gens.items()
+                for j in _orbit_reps(
+                    [j for j in range(full) if not mask >> j & 1],
+                    [_pair_perm(perm, pairs) for perm in perms],
+                )
             ))
 
 

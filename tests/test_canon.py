@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import permutations
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -14,8 +16,10 @@ from zagreb import (
     graph6_decode,
     make_graph,
     path_graph,
+    s_n_m,
     star_graph,
 )
+from zagreb.canon import _canonical_search
 from util import all_pairs, bf_connected, bf_connected_all_m, relabeled
 
 # unlabeled connected graph counts, cross-checked against the standard
@@ -79,6 +83,42 @@ def test_named_families_have_distinct_forms():
         canonical_form(cycle_graph(6)),
     }
     assert len(forms) == 3
+
+
+# twin-heavy graphs at the size cap, with |Aut| from their twin classes
+TWIN_HEAVY = {
+    "star(10)": (star_graph(10), factorial(9)),
+    "K_10": (make_graph(10, all_pairs(10)), factorial(10)),
+    "K_3,7": (
+        make_graph(10, [(u, v) for u in range(3) for v in range(3, 10)]),
+        factorial(3) * factorial(7),
+    ),
+    # leaf 1 joined to leaf 2 only: the triangle 0-1-2 with 7 pendants on 0
+    "s_10_10": (s_n_m(10, 10), 2 * factorial(7)),
+    # leaf 1 joined to leaves 2..4: 3 twins on {0, 1}, 5 pendants on 0
+    "s_10_12": (s_n_m(10, 12), factorial(3) * factorial(5)),
+    # leaf 1 joined to every leaf: 0 and 1 are twins, so are 2..9
+    "s_10_17": (s_n_m(10, 17), 2 * factorial(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_HEAVY))
+def test_twin_heavy_graphs(name):
+    g, aut = TWIN_HEAVY[name]
+    form, got, _ = _canonical_search(g)
+    assert got == aut
+    rng = random.Random(name)
+    for _ in range(6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert _canonical_search(relabeled(g, perm))[:2] == (form, aut)
+
+
+def test_star_canonical_form_is_fast():
+    # the twin-free search placed all 9! leaf orders, about 2 s
+    t0 = time.perf_counter()
+    canonical_form(star_graph(10))
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_size_cap():

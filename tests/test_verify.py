@@ -117,6 +117,7 @@ def test_theorem_orders_validated_before_any_scan(monkeypatch):
 
     monkeypatch.setattr(_kernel, "scan_extremal", refuse)
     monkeypatch.setattr(enumeration, "connected_classes", refuse)
+    monkeypatch.setattr(enumeration, "_class_levels", refuse)
     with pytest.raises(GraphError, match="capped at n=9, got n=10"):
         verify_theorem("theorem-2", ns=[4, 5, 6, 7, 10])
     with pytest.raises(GraphError, match="allow_large"):
