@@ -44,8 +44,6 @@ def _refine_colors(g: Graph) -> list[int]:
     # invariant (inductively: degrees are, and so is each refinement round).
     adj = g._adj
     colors = list(map(len, adj))
-    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [rank[c] for c in colors]
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[w] for w in adj[v])))
@@ -58,13 +56,13 @@ def _refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
-def canonical_form(g: Graph, limit: int = CANON_LIMIT) -> str:
+def canonical_form(g: Graph) -> str:
     """graph6 line identifying the isomorphism class of g.
 
-    Raises GraphError when g has more than `limit` vertices (default 10).
+    Raises GraphError when g has more than CANON_LIMIT (10) vertices.
     """
-    if g.n > limit:
-        raise GraphError(f"canonical form capped at {limit} vertices, got {g.n}")
+    if g.n > CANON_LIMIT:
+        raise GraphError(f"canonical form capped at {CANON_LIMIT} vertices, got {g.n}")
     return encode_mask(g.n, _canonical_search(g)[0])
 
 
@@ -76,15 +74,10 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
     group.  No size cap.
     """
     n = g.n
-    if n == 1:
-        return 0, 1, []
-
     colors = _refine_colors(g)
     # Position p must receive a vertex of class block_of[p]; blocks are laid
     # out in color order, which is invariant.
-    block_of: list[int] = []
-    for color in sorted(set(colors)):
-        block_of.extend([color] * colors.count(color))
+    block_of = sorted(colors)
 
     adj = g._adj
     # Twin classes, ascending: equal open or equal closed neighbourhoods (no
@@ -143,10 +136,7 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
     extend(0, 0)
     assert best is not None
     # prefix bit for edge ordinal j sits at shift nbits-1-j; flip to mask order
-    mask = 0
-    for j in range(nbits):
-        if (best >> (nbits - 1 - j)) & 1:
-            mask |= 1 << j
+    mask = int(f"{best:0{nbits}b}"[::-1], 2)
     # canonical vertex pos[v] is g's vertex v; leaf q puts q[i] at position i,
     # which gives the same graph, so i -> pos[q[i]] is an automorphism of it
     pos = [0] * n

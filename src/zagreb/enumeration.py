@@ -141,9 +141,13 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
         )
     n, m = spec.n, spec.m
     t0 = time.perf_counter()
-    visited, mn, mx, mn_masks, mx_masks = _scan_classes(n, m, index)
-    if mn is None:
-        raise GraphError(f"no connected graph with n={n}, m={m}")
+    # an EnumSpec admits only n-1 <= m <= C(n,2), so there is a class
+    classes = connected_classes(n, m)
+    order = math.factorial(n)
+    values = {mask: compute_index(graph_of_mask(n, mask), index) for mask in classes}
+    mn, mx = min(values.values()), max(values.values())
+    mn_masks = [k for k, v in values.items() if v == mn]
+    mx_masks = [k for k, v in values.items() if v == mx]
     if spec.dedup:
         min_graphs = tuple(sorted(encode_mask(n, k) for k in mn_masks))
         max_graphs = tuple(sorted(encode_mask(n, k) for k in mx_masks))
@@ -158,7 +162,7 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
         m=m,
         index=index,
         dedup=spec.dedup,
-        visited=visited,
+        visited=sum(order // aut for aut in classes.values()),
         min_value=mn,
         max_value=mx,
         min_graphs=min_graphs,
@@ -166,24 +170,6 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
         min_classes=min_classes,
         max_classes=max_classes,
         wall_time_s=time.perf_counter() - t0,
-    )
-
-
-def _scan_classes(n: int, m: int, index: str):
-    # (visited, min, max, min_masks, max_masks) over the classes: visited
-    # is the labeled count, the masks are canonical
-    classes = connected_classes(n, m)
-    order = math.factorial(n)
-    visited = sum(order // aut for aut in classes.values())
-    values = {mask: compute_index(graph_of_mask(n, mask), index) for mask in classes}
-    mn = min(values.values(), default=None)
-    mx = max(values.values(), default=None)
-    return (
-        visited,
-        mn,
-        mx,
-        [k for k, v in values.items() if v == mn],
-        [k for k, v in values.items() if v == mx],
     )
 
 

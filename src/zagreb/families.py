@@ -132,9 +132,7 @@ FAMILY_SYMBOLS = tuple(sorted(_REFERENCES))
 
 def expected_em1(symbol: str, n: int) -> int:
     """Registered closed-form em1 value for the named family at order n."""
-    ref = _REFERENCES.get(symbol)
-    if ref is None:
-        raise GraphError(f"unknown family symbol {symbol!r}, known: {FAMILY_SYMBOLS}")
+    ref = reference(symbol)
     if n < ref.min_n:
         raise GraphError(f"{symbol} is registered for n >= {ref.min_n}, got {n}")
     return ref.formula(n)

@@ -8,6 +8,10 @@ and IV push that index strictly up; operation III pulls it strictly
 down.  find_applicable lists every valid site, reading the adjacency the
 same way, so property sweeps can cover whole corpora.
 
+One table maps each kind to its operation, the RewriteSpec fields that
+operation takes (in argument order) and its site finder; KINDS,
+apply_rewrite and find_applicable all read it.
+
 Two site conditions here are stricter than the loosest reading of the
 construction sketches they come from: operation II requires the two
 endpoints to have disjoint neighborhoods off the path (a shared one
@@ -23,9 +27,6 @@ from dataclasses import dataclass
 
 from .graph import Graph, GraphError, _from_edges
 from .indices import em1
-
-KINDS = ("I", "II", "III", "IV")
-
 
 class RewriteError(GraphError):
     """A rewrite was requested at a site that violates its preconditions."""
@@ -89,13 +90,17 @@ def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
     return _move_pendants(g, pendants, v)
 
 
+def _rewritten(g: Graph, edges, relabel: dict[int, int]) -> RewriteResult:
+    after = _from_edges(g.n, edges)
+    return RewriteResult(after, em1(g), em1(after), relabel)
+
+
 def _move_pendants(g: Graph, pendants, target: int) -> RewriteResult:
     # reattach each pendant vertex to target; labels stay put
     moved = set(pendants)
     edges = [e for e in g.edges if e[0] not in moved and e[1] not in moved]
     edges += [(min(target, w), max(target, w)) for w in pendants]
-    after = _from_edges(g.n, edges)
-    return RewriteResult(after, em1(g), em1(after), {t: t for t in range(g.n)})
+    return _rewritten(g, edges, {t: t for t in range(g.n)})
 
 
 def operation_ii(g: Graph, path) -> RewriteResult:
@@ -157,11 +162,7 @@ def operation_ii(g: Graph, path) -> RewriteResult:
             edges.append((remap[a], remap[b]))
     edges += [(remap[t], w_new) for t in p[1:-1]]
     edges.append((w_new, fresh))
-    after = _from_edges(g.n, edges)
-    relabel = dict(remap)
-    relabel[u] = w_new
-    relabel[v] = w_new
-    return RewriteResult(after, em1(g), em1(after), relabel)
+    return _rewritten(g, edges, {**remap, u: w_new, v: w_new})
 
 
 def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
@@ -232,8 +233,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     ]
     stops = [remap[root], *range(len(remap), g.n), remap[y]]
     edges += [(min(a, b), max(a, b)) for a, b in zip(stops, stops[1:])]
-    after = _from_edges(g.n, edges)
-    return RewriteResult(after, em1(g), em1(after), remap)
+    return _rewritten(g, edges, remap)
 
 
 def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
@@ -266,42 +266,6 @@ def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
     return _move_pendants(g, pend_v, u)
 
 
-def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
-    """Dispatch one RewriteSpec against its operation."""
-    if spec.kind == "I":
-        _need(spec, "u", "v")
-        return operation_i(g, spec.u, spec.v)
-    if spec.kind == "II":
-        _need(spec, "path")
-        return operation_ii(g, spec.path)
-    if spec.kind == "III":
-        _need(spec, "root", "subtree", "reattach")
-        return operation_iii(g, spec.root, spec.subtree, spec.reattach)
-    if spec.kind == "IV":
-        _need(spec, "u", "v")
-        return operation_iv(g, spec.u, spec.v)
-    raise RewriteError(f"unknown rewrite kind {spec.kind!r}, choose from {KINDS}")
-
-
-def _need(spec: RewriteSpec, *fields: str) -> None:
-    for f in fields:
-        if getattr(spec, f) is None:
-            raise RewriteError(f"operation {spec.kind} needs {f!r}")
-
-
-def find_applicable(g: Graph, kind: str) -> list[RewriteSpec]:
-    """Every site where the operation's preconditions hold, in label order."""
-    if kind == "I":
-        return _sites_i(g)
-    if kind == "II":
-        return _sites_ii(g)
-    if kind == "III":
-        return _sites_iii(g)
-    if kind == "IV":
-        return _sites_iv(g)
-    raise RewriteError(f"unknown rewrite kind {kind!r}, choose from {KINDS}")
-
-
 def _sites_i(g: Graph) -> list[RewriteSpec]:
     adj = g._adj
     out = []
@@ -317,11 +281,10 @@ def _sites_i(g: Graph) -> list[RewriteSpec]:
 
 def _walk_chain(adj, start: int, first: int):
     # follow degree-2 vertices from start towards first; returns the interior
-    # run plus the flanking vertex, or None when the walk loops back to start
+    # run plus the flanking vertex, which is start itself when the walk
+    # closes a cycle of degree-2 vertices
     prev, cur, run = start, first, []
-    while len(adj[cur]) == 2:
-        if cur == start:
-            return None
+    while cur != start and len(adj[cur]) == 2:
         run.append(cur)
         prev, cur = cur, next(x for x in adj[cur] if x != prev)
     run.append(cur)
@@ -337,13 +300,9 @@ def _sites_ii(g: Graph) -> list[RewriteSpec]:
             continue
         left_first, right_first = sorted(adj[w])
         left = _walk_chain(adj, w, left_first)
-        if left is None:
+        if left[-1] == w:
             # a cycle component of degree-2 vertices: mark it all consumed
-            used.add(w)
-            prev, cur = w, left_first
-            while cur != w:
-                used.add(cur)
-                prev, cur = cur, next(x for x in adj[cur] if x != prev)
+            used.update(left)
             continue
         right = _walk_chain(adj, w, right_first)
         a, b = left[-1], right[-1]
@@ -432,3 +391,35 @@ def _sites_iv(g: Graph) -> list[RewriteSpec]:
                 continue
             out.append(RewriteSpec(kind="IV", u=u, v=v))
     return out
+
+
+# kind -> (operation, its RewriteSpec fields in argument order, site finder)
+_OPERATIONS = {
+    "I": (operation_i, ("u", "v"), _sites_i),
+    "II": (operation_ii, ("path",), _sites_ii),
+    "III": (operation_iii, ("root", "subtree", "reattach"), _sites_iii),
+    "IV": (operation_iv, ("u", "v"), _sites_iv),
+}
+KINDS = tuple(_OPERATIONS)
+
+
+def _operation(kind):
+    if kind not in KINDS:
+        raise RewriteError(f"unknown rewrite kind {kind!r}, choose from {KINDS}")
+    return _OPERATIONS[kind]
+
+
+def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
+    """Dispatch one RewriteSpec against its operation."""
+    op, fields, _ = _operation(spec.kind)
+    args = [getattr(spec, f) for f in fields]
+    for f, val in zip(fields, args):
+        if val is None:
+            raise RewriteError(f"operation {spec.kind} needs {f!r}")
+    return op(g, *args)
+
+
+def find_applicable(g: Graph, kind: str) -> list[RewriteSpec]:
+    """Every site where the operation's preconditions hold, in label order."""
+    _, _, sites = _operation(kind)
+    return sites(g)

@@ -64,6 +64,9 @@ _LEMMAS = {
 }
 _DIRECTION = dict(_LEMMAS.values())
 
+# the largest order of a random lemma corpus graph
+RANDOM_MAX_N = 12
+
 
 @dataclass(frozen=True)
 class VerdictReport:
@@ -211,7 +214,9 @@ def _prufer_edges(n: int, seq) -> list[tuple[int, int]]:
     return edges
 
 
-def random_connected_graph(rng: random.Random, n_min: int = 4, n_max: int = 12) -> Graph:
+def random_connected_graph(
+    rng: random.Random, n_min: int = 4, n_max: int = RANDOM_MAX_N
+) -> Graph:
     """Random connected graph: a uniform labeled tree plus 0..3 extra edges."""
     n = rng.randint(n_min, n_max)
     seq = [rng.randrange(n) for _ in range(n - 2)]
@@ -243,7 +248,7 @@ def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
     return g, RewriteSpec(kind="IV", u=1, v=3)
 
 
-def _lemma_pass(kinds, trials, seed, n_max, enum_max):
+def _lemma_pass(kinds, trials, seed, enum_max):
     if trials < 0:
         raise GraphError(f"trials must be >= 0, got {trials}")
     stats = {k: {"sites": 0, "graphs_with_sites": 0, "violations": 0} for k in kinds}
@@ -289,11 +294,11 @@ def _lemma_pass(kinds, trials, seed, n_max, enum_max):
                 check(graph_of_mask(n, mask), order // aut)
     rng = random.Random(seed)
     for _ in range(trials):
-        check(random_connected_graph(rng, n_max=n_max), 1)
+        check(random_connected_graph(rng), 1)
     return corpus_size, stats, bad
 
 
-def _lemma_report(claim, corpus_size, stats, bad, trials, seed, n_max, enum_max, wall):
+def _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall):
     kind, increases = _LEMMAS[claim]
     fg, fspec = _fixture(kind)
     fres = apply_rewrite(fg, fspec)
@@ -313,7 +318,7 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, n_max, enum_max,
             "enumerated_max_n": enum_max,
             "random_trials": trials,
             "seed": seed,
-            "random_max_n": n_max,
+            "random_max_n": RANDOM_MAX_N,
             "sites": sites,
             "graphs_with_sites": stats[kind]["graphs_with_sites"],
             "violations": stats[kind]["violations"],
@@ -322,7 +327,9 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, n_max, enum_max,
     return VerdictReport(
         claim=claim,
         passed=not bad[kind] and sites >= 1,
-        params={"trials": trials, "seed": seed, "n_max": n_max, "operation": kind},
+        params={
+            "trials": trials, "seed": seed, "n_max": RANDOM_MAX_N, "operation": kind
+        },
         rows=rows,
         counterexamples=tuple(bad[kind]),
         notes=(f"operation {kind} must strictly {direction} em1 at every site",),
@@ -330,28 +337,24 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, n_max, enum_max,
     )
 
 
-def verify_lemma(claim, trials=1000, seed=0, n_max=12, enum_max=7) -> VerdictReport:
+def verify_lemma(claim, trials=1000, seed=0, enum_max=7) -> VerdictReport:
     """Sweep one operation over the corpus and check strict monotonicity."""
     if claim not in _LEMMAS:
         raise GraphError(f"unknown lemma claim {claim!r}, choose from {LEMMA_CLAIMS}")
     kind, _ = _LEMMAS[claim]
     t0 = time.perf_counter()
-    corpus_size, stats, bad = _lemma_pass((kind,), trials, seed, n_max, enum_max)
+    corpus_size, stats, bad = _lemma_pass((kind,), trials, seed, enum_max)
     wall = time.perf_counter() - t0
-    return _lemma_report(
-        claim, corpus_size, stats, bad, trials, seed, n_max, enum_max, wall
-    )
+    return _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall)
 
 
-def lemma_sweep(trials=1000, seed=0, n_max=12, enum_max=7) -> dict[str, VerdictReport]:
+def lemma_sweep(trials=1000, seed=0, enum_max=7) -> dict[str, VerdictReport]:
     """All four lemma checks in one corpus pass; same verdicts as one-by-one."""
     t0 = time.perf_counter()
     kinds = tuple(_LEMMAS[c][0] for c in LEMMA_CLAIMS)
-    corpus_size, stats, bad = _lemma_pass(kinds, trials, seed, n_max, enum_max)
+    corpus_size, stats, bad = _lemma_pass(kinds, trials, seed, enum_max)
     wall = time.perf_counter() - t0
     return {
-        claim: _lemma_report(
-            claim, corpus_size, stats, bad, trials, seed, n_max, enum_max, wall
-        )
+        claim: _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall)
         for claim in LEMMA_CLAIMS
     }

@@ -70,6 +70,15 @@ LEVELS_N7_DIGESTS = {
     21: "18dcfbfb07b6137dcb77dde2c08b1150827d3fcab12e290aeb50595de25ffaae",
 }
 
+# the same digests for the c = 0..3 levels of _class_levels(8), which pin
+# the canonical masks, |Aut| and order beside the counts
+LEVELS_N8_C3_DIGESTS = {
+    7: "5b6ac4a9dc0c59968eef7e141e4a19def0e218d0de2a98688a98d4cd8d67631e",
+    8: "10c82dcbd99d78a8307a98f88b595d672f07f5c6a4d9a82c9f6d9fd7c1296268",
+    9: "bd90e2add7ebc38981754f3a7f6c31ac408fcefe5a8e12635867017c6df5985f",
+    10: "6e44d35aed986befe8a39944e11c3bfdb2093ae9e4571dbc721131ee942a4ae1",
+}
+
 
 @pytest.fixture(scope="module")
 def levels():
@@ -129,6 +138,8 @@ def test_weights_sum_to_the_labeled_counts(levels):
     for m, classes in islice(_class_levels(8), 4):  # c = 0..3
         assert sum(order // aut for aut in classes.values()) == RECURRENCE[8][m], m
         assert len(classes) == CYCLE_INDEX[8][m], m
+        digest = hashlib.sha256(repr(list(classes.items())).encode()).hexdigest()
+        assert digest == LEVELS_N8_C3_DIGESTS[m], m
 
 
 def test_cycle_index_counts_match_oeis():

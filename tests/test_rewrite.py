@@ -120,6 +120,14 @@ def test_apply_rewrite_requires_fields():
         apply_rewrite(path_graph(4), RewriteSpec(kind="V"))
 
 
+def test_find_applicable_rejects_unknown_kind():
+    with pytest.raises(RewriteError) as exc:
+        find_applicable(path_graph(4), "V")
+    assert str(exc.value) == (
+        "unknown rewrite kind 'V', choose from ('I', 'II', 'III', 'IV')"
+    )
+
+
 # --- structural conservation -------------------------------------------
 
 

@@ -22,6 +22,11 @@ def all_pairs(n):
 
 def bf_connected(n, m):
     """Every connected labeled graph with n vertices and m edges."""
+    return [make_graph(n, edges) for edges in bf_connected_edges(n, m)]
+
+
+def bf_connected_edges(n, m):
+    """Edge sets of bf_connected(n, m) in the same order, no Graph built."""
     out = []
     for chosen in combinations(all_pairs(n), m):
         adj = {v: set() for v in range(n)}
@@ -37,7 +42,7 @@ def bf_connected(n, m):
                     seen.add(x)
                     stack.append(x)
         if len(seen) == n:
-            out.append(make_graph(n, chosen))
+            out.append(chosen)
     return out
 
 
