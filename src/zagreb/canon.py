@@ -26,6 +26,17 @@ canonical graph's automorphism group: the transpositions of consecutive
 twins, which generate T, and for each tying leaf after the first the
 automorphism that carries the first (canonical) labeling onto it, which
 together meet every coset of T.
+
+The search reads neighbour lists, not a Graph: class generation hands it
+graph6.mask_rows() of each candidate mask, canonical_form() a Graph's own
+adjacency.  When the refinement gives every vertex its own colour, only
+one labeling is compatible with it (vertex v at position colors[v]), so
+the search returns that labeling's mask with a trivial group and no
+generators, and places nothing (McKay & Piperno stop at a discrete
+partition too).  Otherwise it places vertices position by position, the
+candidates for a position being the members of its colour cell, and
+keeps per vertex the column it would add: bit n-1-i of key[w] is set
+while the vertex at position i is a neighbour of w.
 """
 
 from __future__ import annotations
@@ -38,22 +49,24 @@ from .graph6 import encode_mask
 CANON_LIMIT = 10
 
 
-def _refine_colors(g: Graph) -> list[int]:
+def _refine_colors(n: int, adj) -> list[int]:
     # Iterated neighborhood refinement starting from degrees.  Color ids are
     # assigned by sorting signature tuples, so their order is an isomorphism
     # invariant (inductively: degrees are, and so is each refinement round).
-    adj = g._adj
+    # A discrete round is final: the next one would rank by color alone.
     colors = list(map(len, adj))
+    count = len(set(colors))
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            for v in range(g.n)
+            (colors[v], tuple(sorted([colors[w] for w in adj[v]])))
+            for v in range(n)
         ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        order = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(order)}
         new = [rank[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
+        if len(order) in (count, n):
             return new
-        colors = new
+        colors, count = new, len(order)
 
 
 def canonical_form(g: Graph) -> str:
@@ -63,31 +76,45 @@ def canonical_form(g: Graph) -> str:
     """
     if g.n > CANON_LIMIT:
         raise GraphError(f"canonical form capped at {CANON_LIMIT} vertices, got {g.n}")
-    return encode_mask(g.n, _canonical_search(g)[0])
+    return encode_mask(g.n, _canonical_search(g.n, g._adj)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(canonical adjacency mask, |Aut(g)|, generators) from one search.
+def _canonical_search(n: int, adj) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(canonical adjacency mask, |Aut|, generators) from one search.
 
-    The generators are permutations of the canonical graph's vertices,
-    perm[i] being the image of vertex i, that generate its automorphism
-    group.  No size cap.
+    adj[v] lists the neighbours of vertex v of a graph on n vertices
+    (graph6.mask_rows, or a Graph's own adjacency).  The generators are
+    permutations of the canonical graph's vertices, perm[i] being the
+    image of vertex i, that generate its automorphism group.  No size cap.
     """
-    n = g.n
-    colors = _refine_colors(g)
-    # Position p must receive a vertex of class block_of[p]; blocks are laid
-    # out in color order, which is invariant.
-    block_of = sorted(colors)
-
-    adj = g._adj
-    # Twin classes, ascending: equal open or equal closed neighbourhoods (no
-    # vertex has both kinds of twin).  prev[v] is the member before v in its
-    # class, or n, which counts as always used: v may be placed only once
-    # prev[v] is, so each class is placed in ascending order.
-    groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    colors = _refine_colors(n, adj)
+    if len(set(colors)) == n:
+        # discrete: the only compatible labeling puts v at position colors[v]
+        mask = 0
+        for u in range(n):
+            a = colors[u]
+            for w in adj[u]:
+                b = colors[w]
+                if a < b:
+                    mask |= 1 << (b * (b - 1) // 2 + a)
+        return mask, 1, []
+    # Positions are laid out in color order, which is invariant: cell[p]
+    # lists the vertices of the color that position p must receive.
+    members: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
-        groups.setdefault((False, adj[v]), []).append(v)
-        groups.setdefault((True, adj[v] | {v}), []).append(v)
+        members[colors[v]].append(v)
+    cell = [members[c] for c in sorted(colors)]
+
+    nbr = [sum([1 << w for w in adj[v]]) for v in range(n)]
+    # Twin classes, ascending: equal open or equal closed neighbourhoods (no
+    # vertex has both kinds of twin), keyed by the open neighbourhood mask
+    # or the complement of the closed one.  prev[v] is the member before v
+    # in its class, or n, which counts as always used: v may be placed only
+    # once prev[v] is, so each class is placed in ascending order.
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(nbr[v], []).append(v)
+        groups.setdefault(~(nbr[v] | 1 << v), []).append(v)
     twins = [c for c in groups.values() if len(c) > 1]
     prev = [n] * n
     for c in twins:
@@ -97,6 +124,9 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
     nbits = n * (n - 1) // 2
     placed: list[int] = []
     used = [False] * n + [True]
+    # key[w] has bit n-1-i when the vertex at position i is adjacent to w, so
+    # a candidate's column at depth d is key[v] >> (n - d)
+    key = [0] * n
     best: int | None = None
     leaves: list[list[int]] = []  # the labelings that attain best
     # prefix lengths: after filling position k there are k(k+1)/2 bits
@@ -111,25 +141,27 @@ def _canonical_search(g: Graph) -> tuple[int, int, list[tuple[int, ...]]]:
             elif prefix == best:
                 leaves.append(placed[:])
             return
-        want = block_of[depth]
-        candidates = []
-        for v in range(n):
-            if not used[v] and colors[v] == want and used[prev[v]]:
-                col = 0
-                for i, w in enumerate(placed):
-                    if v in adj[w]:
-                        col |= 1 << (depth - 1 - i)
-                candidates.append((col, v))
-        candidates.sort()
+        shift = n - depth
+        candidates = sorted([
+            (key[v] >> shift, v)
+            for v in cell[depth]
+            if not used[v] and used[prev[v]]
+        ])
+        bit = 1 << (shift - 1)
         for col, v in candidates:
             # child carries tri[depth] bits: position i contributes i of them;
-            # only strictly greater prefixes are cut, so no tying leaf is lost
+            # only strictly greater prefixes are cut, so no tying leaf is lost,
+            # and the candidates after a cut one have greater columns
             child = (prefix << depth) | col
             if best is not None and child > (best >> (nbits - tri[depth])):
-                continue
+                break
             placed.append(v)
             used[v] = True
+            for w in adj[v]:
+                key[w] |= bit
             extend(depth + 1, child)
+            for w in adj[v]:
+                key[w] ^= bit
             placed.pop()
             used[v] = False
 

@@ -43,7 +43,7 @@ from . import _kernel
 # that imports them
 from .canon import _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
-from .graph6 import edge_table, encode_mask, graph_of_mask
+from .graph6 import edge_table, encode_mask, graph_of_mask, mask_rows
 from .indices import INDEX_IDS, compute_index
 
 HARD_CAP = 9
@@ -198,7 +198,7 @@ def _dedup(n: int, masks):
     classes: dict[int, int] = {}
     gens: dict[int, list[tuple[int, ...]]] = {}
     for mask in masks:
-        form, aut, perms = _canonical_search(graph_of_mask(n, mask))
+        form, aut, perms = _canonical_search(n, mask_rows(n, mask))
         if form not in classes:
             classes[form] = aut
             gens[form] = perms
@@ -296,5 +296,5 @@ def brace_census(spec: EnumSpec) -> tuple[str, ...]:
     return tuple(sorted(
         encode_mask(n, mask)
         for mask in connected_classes(n, spec.m)
-        if min(map(len, graph_of_mask(n, mask)._adj)) >= 2
+        if min(map(len, mask_rows(n, mask))) >= 2
     ))

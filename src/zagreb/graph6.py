@@ -8,8 +8,10 @@ v*(v-1)/2 + u, and bit k of an integer mask stands for edge k.  The
 enumeration kernel and this codec therefore share one bit layout.
 
 Column v of a mask is its next run of v bits; their set bits are the
-lower neighbours of v.  graph_of_mask(), the package's one mask -> Graph
-builder, walks the set bits once, with no table of pairs and no sort.
+lower neighbours of v.  mask_rows(), the package's one mask walk, finds
+the set bits once, with no table of pairs and no sort, and hands on the
+neighbour lists; graph_of_mask(), the one mask -> Graph builder, adds
+the edge tuple, and the canonical search reads the lists directly.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ def edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def graph_of_mask(n: int, mask: int) -> Graph:
-    """Graph on n vertices with edge k present iff bit k of mask is set.
+def mask_rows(n: int, mask: int) -> list[list[int]]:
+    """Neighbour lists of the n-vertex graph whose edge k is bit k of mask.
 
     The set bits are found in ascending index order by str.rfind on the
     binary string, and a column pointer advances with them, so the walk
     is linear in the mask's length.  Each row comes out ascending: its
     lower neighbours from its own column, then its higher ones from
-    later columns; the higher ones give the edges in lexicographic order.
+    later columns.
     """
     rows: list[list[int]] = [[] for _ in range(n)]
     bits = bin(mask)
@@ -72,6 +74,15 @@ def graph_of_mask(n: int, mask: int) -> Graph:
         rows[v].append(u)
         rows[u].append(v)
         at = bits.rfind("1", 2, at)
+    return rows
+
+
+def graph_of_mask(n: int, mask: int) -> Graph:
+    """Graph on n vertices with edge k present iff bit k of mask is set.
+
+    Ascending rows give the edges in lexicographic order.
+    """
+    rows = mask_rows(n, mask)
     edges = tuple([(u, w) for u in range(n) for w in rows[u] if w > u])
     return _blessed(n, rows, edges)
 

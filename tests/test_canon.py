@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import permutations
@@ -7,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from zagreb import (
     CANON_LIMIT,
@@ -14,12 +16,14 @@ from zagreb import (
     canonical_form,
     cycle_graph,
     graph6_decode,
+    is_connected,
     make_graph,
     path_graph,
     s_n_m,
     star_graph,
 )
-from zagreb.canon import _canonical_search
+from zagreb.canon import _canonical_search, _refine_colors
+from zagreb.graph6 import graph_of_mask, mask_rows
 from util import (
     all_pairs,
     bf_connected,
@@ -111,16 +115,97 @@ TWIN_HEAVY = {
 }
 
 
+# sha256 of repr((n, mask, _canonical_search output, canonical_form)) over
+# _sample_masks(): canonical masks, |Aut| and the generators in order,
+# taken before the search read neighbour lists and stopped at a discrete
+# refinement
+SEARCH_DIGEST = "759c74d274e2bb954ecb0c6023bea4dca088dd46acb8652ff1ffaeed12553448"
+
+
+def _sample_masks():
+    # seeded masks at every size up to the cap, from empty to complete, at
+    # densities drawn per mask: disconnected graphs and discrete
+    # refinements among them
+    rng = random.Random(2014)
+    for n in range(1, CANON_LIMIT + 1):
+        nbits = n * (n - 1) // 2
+        yield n, 0
+        yield n, (1 << nbits) - 1
+        for _ in range(298):
+            p = rng.random()
+            yield n, sum(1 << k for k in range(nbits) if rng.random() < p)
+
+
+def test_search_digest_and_entry_points_agree():
+    h = hashlib.sha256()
+    disconnected = discrete = 0
+    for n, mask in _sample_masks():
+        rows = mask_rows(n, mask)
+        g = graph_of_mask(n, mask)
+        got = _canonical_search(n, rows)
+        assert got == _canonical_search(g.n, g._adj), (n, mask)
+        h.update(repr((n, mask, got, canonical_form(g))).encode())
+        disconnected += not is_connected(g)
+        discrete += len(set(_refine_colors(n, rows))) == n
+    assert h.hexdigest() == SEARCH_DIGEST
+    assert disconnected > 100 and discrete > 100, (disconnected, discrete)
+
+
+def _self_maps(n, mask) -> int:
+    # brute force: the permutations that map the edge set onto itself
+    edges = set(graph_of_mask(n, mask).edges)
+    return sum(
+        {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+        for p in permutations(range(n))
+    )
+
+
+def test_aut_order_matches_brute_force_on_every_small_mask():
+    # every labeled graph on n <= 5 vertices, disconnected ones included;
+    # none is rigid beyond n = 1, so a refinement that wrongly came out
+    # discrete here would claim |Aut| = 1 and fail
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            aut = _canonical_search(n, mask_rows(n, mask))[1]
+            assert aut == _self_maps(n, mask), (n, mask)
+
+
+def test_discrete_refinements_are_rigid_and_canonical():
+    # sampled graphs whose refinement separates every vertex: networkx
+    # finds exactly one self-map, and relabelings keep the form
+    rng = random.Random(61)
+    for n in (6, 7, 8):
+        nbits = n * (n - 1) // 2
+        found = 0
+        while found < 40:
+            mask = rng.getrandbits(nbits)
+            rows = mask_rows(n, mask)
+            if len(set(_refine_colors(n, rows))) < n:
+                continue
+            found += 1
+            g = graph_of_mask(n, mask)
+            form, aut, gens = _canonical_search(n, rows)
+            assert (aut, gens) == (1, [])
+            h = _nx(g)
+            assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 1
+            for _ in range(4):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                r = relabeled(g, perm)
+                assert _canonical_search(r.n, r._adj) == (form, 1, [])
+
+
 @pytest.mark.parametrize("name", sorted(TWIN_HEAVY))
 def test_twin_heavy_graphs(name):
     g, aut = TWIN_HEAVY[name]
-    form, got, _ = _canonical_search(g)
+    form, got, _ = _canonical_search(g.n, g._adj)
     assert got == aut
     rng = random.Random(name)
     for _ in range(6):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert _canonical_search(relabeled(g, perm))[:2] == (form, aut)
+        h = relabeled(g, perm)
+        assert _canonical_search(h.n, h._adj)[:2] == (form, aut)
 
 
 def test_star_canonical_form_is_fast():

@@ -79,6 +79,15 @@ LEVELS_N8_C3_DIGESTS = {
     10: "6e44d35aed986befe8a39944e11c3bfdb2093ae9e4571dbc721131ee942a4ae1",
 }
 
+# and for the c = 0..3 levels of _class_levels(9), whose counts CLASSES_C3
+# pins; taken before the canonical search read neighbour lists
+LEVELS_N9_C3_DIGESTS = {
+    8: "c00c4935254e7cfb1f10a9e232389295508fee139880759cdab6134b424c53b7",
+    9: "f945b93c3ce47d8a1625da6e603551a562a254c1c65a1a4e648d9e24f59d2df0",
+    10: "d53ca726addc13de8d8cd21481b9f3446322f52dd286455deb36fa221d6e9173",
+    11: "6a2369240259efa588c7d02f4b6447312944070ba89a6dec8111a0c695c5db3e",
+}
+
 
 @pytest.fixture(scope="module")
 def levels():
@@ -142,6 +151,19 @@ def test_weights_sum_to_the_labeled_counts(levels):
         assert digest == LEVELS_N8_C3_DIGESTS[m], m
 
 
+def test_n9_levels_pinned_by_content():
+    # the c <= 3 levels at n = 9: content digests, the cycle-index counts
+    # and the labeled recurrence's weights
+    order = math.factorial(9)
+    labeled = labeled_connected_counts(9)[9]
+    levels = list(islice(_class_levels(9), 4))
+    assert [len(classes) for _, classes in levels] == list(CLASSES_C3[9])
+    for m, classes in levels:
+        assert sum(order // aut for aut in classes.values()) == labeled[m], m
+        digest = hashlib.sha256(repr(list(classes.items())).encode()).hexdigest()
+        assert digest == LEVELS_N9_C3_DIGESTS[m], m
+
+
 def test_cycle_index_counts_match_oeis():
     assert {n: sum(CYCLE_INDEX[n]) for n in A001349} == A001349
     # A001349 continued
@@ -185,7 +207,8 @@ def test_generators_are_automorphisms_generating_aut(levels):
                 g = graph_of_mask(n, mask)
                 perm = list(range(n))
                 rng.shuffle(perm)
-                form, got, gens = _canonical_search(relabeled(g, perm))
+                h = relabeled(g, perm)
+                form, got, gens = _canonical_search(h.n, h._adj)
                 assert (form, got) == (mask, aut), (n, encode_mask(n, mask))
                 edges = set(g.edges)
                 for gen in gens:

@@ -15,7 +15,13 @@ from zagreb import (
     path_graph,
     star_graph,
 )
-from zagreb.graph6 import decode_mask, edge_table, encode_mask, graph_of_mask
+from zagreb.graph6 import (
+    decode_mask,
+    edge_table,
+    encode_mask,
+    graph_of_mask,
+    mask_rows,
+)
 from util import all_pairs, bf_connected_all_m, random_graph
 
 K4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -164,6 +170,8 @@ def _builder_cases():
 def test_mask_builder_matches_table_lookup():
     for n, mask in _builder_cases():
         ref = _slow_graph(n, mask)
+        # the one mask walk hands on ascending rows
+        assert mask_rows(n, mask) == [sorted(ref.neighbors(v)) for v in range(n)]
         for g in (graph_of_mask(n, mask), graph6_decode(encode_mask(n, mask))):
             # Graph.__eq__ compares n and edges only; check the adjacency too
             assert g.n == ref.n and g.edges == ref.edges, (n, mask)
