@@ -190,18 +190,26 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# verify option -> claim kind; None defaults leave the values to the library
+_VERIFY_OPTIONS = {"n": "theorem", "allow_large": "theorem", "trials": "lemma", "seed": "lemma"}
+
+
 def _cmd_verify(args) -> int:
-    if args.claim in THEOREM_CLAIMS:
+    kind = "theorem" if args.claim in THEOREM_CLAIMS else "lemma"
+    given = {d: getattr(args, d) for d in _VERIFY_OPTIONS if getattr(args, d) is not None}
+    for dest in given:
+        owner = _VERIFY_OPTIONS[dest]
+        if owner != kind:
+            flag = "--" + dest.replace("_", "-")
+            raise GraphError(f"{flag} applies to {owner} claims only, not {args.claim}")
+    if kind == "theorem":
         ns = _parse_ns(args.n) if args.n else None
         if ns and ns[-1] > HARD_CAP:
             first = max(ns[0], HARD_CAP + 1)
             raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={first}")
         rep = verify_theorem(args.claim, ns=ns, allow_large=bool(args.allow_large))
     else:
-        for flag, value in (("--n", args.n), ("--allow-large", args.allow_large)):
-            if value is not None:
-                raise GraphError(f"{flag} applies to theorem claims only, not {args.claim}")
-        rep = verify_lemma(args.claim, trials=args.trials, seed=args.seed)
+        rep = verify_lemma(args.claim, **given)
     with _out_stream(args.out) as fh:
         fh.write(rep.to_json() + "\n")
     return 0 if rep.passed else 1
@@ -267,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check one extremal theorem or rewrite lemma")
     p.add_argument("claim", choices=THEOREM_CLAIMS + LEMMA_CLAIMS)
     p.add_argument("--n", help="order N or range A..B (theorem claims)")
-    p.add_argument("--trials", type=int, default=1000, help="random corpus size (lemma claims)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="random corpus size (lemma claims)")
+    p.add_argument("--seed", type=int, help="random corpus seed (lemma claims)")
     p.add_argument("--allow-large", action="store_true", default=None,
                    help="admit the n=9 tricyclic scan (theorem claims)")
     p.add_argument("--out")

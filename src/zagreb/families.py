@@ -33,8 +33,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0; n >= 3."""
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return _from_edges(n, [tuple(sorted(e)) for e in edges])
+    return _from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def s_n_m(n: int, m: int) -> Graph:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from .graph import Graph, GraphError
 
-INDEX_IDS = ("m1", "m2", "em1", "em2")
-
 
 def m1(g: Graph) -> int:
     """First Zagreb index: sum of squared vertex degrees."""
@@ -67,6 +65,7 @@ def em2(g: Graph) -> int:
 
 
 INDEX_FUNCS = {"m1": m1, "m2": m2, "em1": em1, "em2": em2}
+INDEX_IDS = tuple(INDEX_FUNCS)
 
 
 def compute_index(g: Graph, index: str) -> int:

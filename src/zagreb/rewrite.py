@@ -6,7 +6,9 @@ once, with the first reformulated index before and after and a map from
 old labels to new ones for the vertices that survive.  Operations I, II
 and IV push that index strictly up; operation III pulls it strictly
 down.  find_applicable lists every valid site, reading the adjacency the
-same way, so property sweeps can cover whole corpora.
+same way, so property sweeps can cover whole corpora.  Callers need no
+prefilter: a finder returns [] on a graph without the pendant (I, III,
+IV) or degree-2 vertex (II) that each of its sites needs.
 
 One table maps each kind to its operation, the RewriteSpec fields that
 operation takes (in argument order) and its site finder; KINDS,
@@ -352,6 +354,8 @@ def _hanging_trees(adj, root: int) -> list[tuple[int, ...]]:
 
 def _sites_iii(g: Graph) -> list[RewriteSpec]:
     adj = g._adj
+    if 1 not in map(len, adj):
+        return []  # a tree hanging at root has a leaf besides root: a pendant
     out = []
     for root in range(g.n):
         deg_r = len(adj[root])

@@ -6,8 +6,9 @@ separate attainment flag, and exact extremes are compared against the
 registered family formulas together with the witness isomorphism
 classes.  Lemmas are checked by sweeping every applicable rewrite site
 over a corpus (all connected graphs up to order 7, plus seeded random
-connected graphs up to order 12) and asserting strict monotonicity.
-Every failing verdict embeds a decodable counterexample.
+connected graphs up to order 12) and asserting strict monotonicity;
+which graphs can hold a site is for rewrite's finders to say.  Every
+failing verdict embeds a decodable counterexample.
 
 The enumerated part of the lemma corpus is swept one isomorphism class
 at a time, each class weighted by the n!/|Aut| labeled graphs it
@@ -31,29 +32,35 @@ from .canon import canonical_form
 from .enumeration import EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
-from .graph6 import graph6_encode, graph_of_mask
+from .graph6 import edge_table, graph6_encode, graph_of_mask
 from .rewrite import RewriteSpec, apply_rewrite, find_applicable
 
-THEOREM_CLAIMS = ("theorem-1", "theorem-2", "theorem-3", "theorem-4", "theorem-5")
-LEMMA_CLAIMS = ("lemma-1", "lemma-2", "lemma-3", "lemma-4")
-
-# claim -> cyclomatic number, exact extremes (value symbol, witness symbols)
-# and/or floor symbol whose attainment is reported rather than asserted
+# claim -> cyclomatic number, the report's note, exact extremes as witness
+# symbols (the first one registered at n gives the value) and/or a floor
+# symbol whose attainment is reported rather than asserted
 _THEOREMS = {
-    "theorem-1": {"c": 0, "min": ("path", ("path",)), "max": ("star", ("star",))},
-    "theorem-2": {"c": 1, "min": ("cycle", ("cycle",)), "max": ("snm1", ("snm1",))},
-    "theorem-3": {"c": 2, "floor": "bicyclic_floor", "max": ("snm2", ("snm2",))},
-    "theorem-4": {"c": 3, "floor": "tricyclic_floor"},
-    "theorem-5": {"c": 3, "max": ("snm3", ("snm3", "snk4"))},
+    "theorem-1": {
+        "c": 0, "min": ("path",), "max": ("star",),
+        "note": "trees: the path minimizes em1 and the star maximizes it",
+    },
+    "theorem-2": {
+        "c": 1, "min": ("cycle",), "max": ("snm1",),
+        "note": "unicyclic: the cycle minimizes em1, s_n_m(n, n) maximizes it",
+    },
+    "theorem-3": {
+        "c": 2, "floor": "bicyclic_floor", "max": ("snm2",),
+        "note": "bicyclic: em1 floor 4n+34; maximum n^3-5n^2+16n+4 at s_n_m(n, n+1)",
+    },
+    "theorem-4": {
+        "c": 3, "floor": "tricyclic_floor",
+        "note": "tricyclic: em1 floor 4n+68; attainment reported per order",
+    },
+    "theorem-5": {
+        "c": 3, "max": ("snm3", "snk4"),
+        "note": "tricyclic: maximum n^3-5n^2+20n+32 at s_n_m(n, n+2) and s_n_k4(n)",
+    },
 }
-
-_NOTES = {
-    "theorem-1": "trees: the path minimizes em1 and the star maximizes it",
-    "theorem-2": "unicyclic: the cycle minimizes em1, s_n_m(n, n) maximizes it",
-    "theorem-3": "bicyclic: em1 floor 4n+34; maximum n^3-5n^2+16n+4 at s_n_m(n, n+1)",
-    "theorem-4": "tricyclic: em1 floor 4n+68; attainment reported per order",
-    "theorem-5": "tricyclic: maximum n^3-5n^2+20n+32 at s_n_m(n, n+2) and s_n_k4(n)",
-}
+THEOREM_CLAIMS = tuple(_THEOREMS)
 
 # lemma -> (operation kind, em1 must strictly increase?)
 _LEMMAS = {
@@ -62,6 +69,7 @@ _LEMMAS = {
     "lemma-3": ("III", False),
     "lemma-4": ("IV", True),
 }
+LEMMA_CLAIMS = tuple(_LEMMAS)
 _DIRECTION = dict(_LEMMAS.values())
 
 # the largest order of a random lemma corpus graph
@@ -96,19 +104,13 @@ class VerdictReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _witness_forms(symbols, n: int) -> set[str]:
-    return {
-        canonical_form(CONSTRUCTORS[s](n))
-        for s in symbols
-        if reference(s).min_n <= n
-    }
-
-
-def _expected_value(symbols, n: int) -> int:
-    for s in symbols:
-        if reference(s).min_n <= n:
-            return expected_em1(s, n)
-    raise GraphError(f"no registered formula among {symbols} covers n={n}")
+def _expected(symbols, n: int) -> tuple[int, set[str]]:
+    # the value of the first symbol registered at n, the classes of all of them
+    covering = [s for s in symbols if reference(s).min_n <= n]
+    if not covering:
+        raise GraphError(f"no registered formula among {symbols} covers n={n}")
+    forms = {canonical_form(CONSTRUCTORS[s](n)) for s in covering}
+    return expected_em1(covering[0], n), forms
 
 
 def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
@@ -119,10 +121,7 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
     ns = sorted(set(range(4, 9) if ns is None else ns))
     if not ns or ns[0] < 4:
         raise GraphError(f"theorem checks run at n >= 4, got {ns}")
-    symbols = []
-    for side in ("min", "max"):
-        if side in cfg:
-            symbols.extend(cfg[side][1])
+    symbols = [*cfg.get("min", ()), *cfg.get("max", ())]
     if "floor" in cfg:
         symbols.append(cfg["floor"])
     sources = {s: reference(s).provenance for s in symbols}
@@ -145,10 +144,9 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
         for side in ("min", "max"):
             if side not in cfg:
                 continue
-            value_symbol, wits = cfg[side]
             observed = rep.min_value if side == "min" else rep.max_value
             observed_forms = set(rep.min_graphs if side == "min" else rep.max_graphs)
-            expected = _expected_value((value_symbol,) + tuple(wits), n)
+            expected, forms = _expected(cfg[side], n)
             row[f"expected_{side}"] = expected
             if observed != expected:
                 cex.append({
@@ -158,7 +156,6 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
                     "observed": observed,
                     "graphs": sorted(observed_forms),
                 })
-            forms = _witness_forms(wits, n)
             if observed_forms != forms:
                 cex.append({
                     "n": n,
@@ -187,7 +184,7 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
         params={"ns": ns, "c": cfg["c"], "index": "em1", "references": sources},
         rows=tuple(rows),
         counterexamples=tuple(cex),
-        notes=(_NOTES[claim],),
+        notes=(cfg["note"],),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -224,9 +221,7 @@ def random_connected_graph(
     c = rng.randint(0, 3)
     if c:
         have = set(edges)
-        spare = [
-            (u, v) for v in range(1, n) for u in range(v) if (u, v) not in have
-        ]
+        spare = [e for e in edge_table(n) if e not in have]
         edges += rng.sample(spare, min(c, len(spare)))
     return _from_edges(n, edges)
 
@@ -259,16 +254,7 @@ def _lemma_pass(kinds, trials, seed, enum_max):
         # g stands for `weight` labeled graphs
         nonlocal corpus_size
         corpus_size += weight
-        degs = list(map(len, g._adj))
-        has_pendant = 1 in degs
-        has_two = 2 in degs
         for kind in kinds:
-            # a pendant feeds I, III, IV; a degree-2 interior feeds II
-            if kind == "II":
-                if not has_two:
-                    continue
-            elif not has_pendant:
-                continue
             sites = find_applicable(g, kind)
             if not sites:
                 continue
@@ -337,24 +323,24 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall):
     )
 
 
-def verify_lemma(claim, trials=1000, seed=0, enum_max=7) -> VerdictReport:
-    """Sweep one operation over the corpus and check strict monotonicity."""
-    if claim not in _LEMMAS:
-        raise GraphError(f"unknown lemma claim {claim!r}, choose from {LEMMA_CLAIMS}")
-    kind, _ = _LEMMAS[claim]
+def _sweep(claims, trials, seed, enum_max) -> dict[str, VerdictReport]:
     t0 = time.perf_counter()
-    corpus_size, stats, bad = _lemma_pass((kind,), trials, seed, enum_max)
-    wall = time.perf_counter() - t0
-    return _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall)
-
-
-def lemma_sweep(trials=1000, seed=0, enum_max=7) -> dict[str, VerdictReport]:
-    """All four lemma checks in one corpus pass; same verdicts as one-by-one."""
-    t0 = time.perf_counter()
-    kinds = tuple(_LEMMAS[c][0] for c in LEMMA_CLAIMS)
+    kinds = tuple(_LEMMAS[c][0] for c in claims)
     corpus_size, stats, bad = _lemma_pass(kinds, trials, seed, enum_max)
     wall = time.perf_counter() - t0
     return {
         claim: _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall)
-        for claim in LEMMA_CLAIMS
+        for claim in claims
     }
+
+
+def verify_lemma(claim, trials=1000, seed=0, enum_max=7) -> VerdictReport:
+    """Sweep one operation over the corpus and check strict monotonicity."""
+    if claim not in _LEMMAS:
+        raise GraphError(f"unknown lemma claim {claim!r}, choose from {LEMMA_CLAIMS}")
+    return _sweep((claim,), trials, seed, enum_max)[claim]
+
+
+def lemma_sweep(trials=1000, seed=0, enum_max=7) -> dict[str, VerdictReport]:
+    """All four lemma checks in one corpus pass; same verdicts as one-by-one."""
+    return _sweep(LEMMA_CLAIMS, trials, seed, enum_max)

@@ -167,6 +167,16 @@ def test_criterion_4_tree_unicyclic_bicyclic_extremes(low_c_scans):
     )
 
 
+# labeled (sites, graphs_with_sites) per lemma in the trials=1000, seed=0
+# sweep, frozen so a finder that silently skips graphs turns the gate red
+SWEEP_SITES = {
+    "lemma-1": (177382, 154172),
+    "lemma-2": (40576, 36305),
+    "lemma-3": (3576067, 826822),
+    "lemma-4": (640761, 368370),
+}
+
+
 def test_criterion_5_rewrite_monotonicity_sweep(sweep_reports):
     corpus_size = sum(LABELED_CONNECTED.values()) + 1000
     details = []
@@ -176,7 +186,8 @@ def test_criterion_5_rewrite_monotonicity_sweep(sweep_reports):
         assert rep.counterexamples == ()
         corpus_row = next(r for r in rep.rows if "corpus_size" in r)
         assert corpus_row["violations"] == 0
-        assert corpus_row["sites"] >= 100, (claim, corpus_row["sites"])
+        sites = (corpus_row["sites"], corpus_row["graphs_with_sites"])
+        assert sites == SWEEP_SITES[claim], (claim, sites)
         assert corpus_row["corpus_size"] == corpus_size
         assert corpus_row["enumerated_max_n"] == 7
         assert corpus_row["random_trials"] == 1000

@@ -312,6 +312,28 @@ def test_verify_lemma_rejects_theorem_options(capsys, extra):
     assert f"{extra[0]} applies to theorem claims only" in err
 
 
+@pytest.mark.parametrize("extra", [("--trials", "-3"), ("--seed", "1")])
+def test_verify_theorem_rejects_lemma_options(capsys, extra):
+    code, out, err = run(capsys, "verify", "theorem-1", "--n", "4", *extra)
+    assert code == 2 and out == ""
+    assert f"{extra[0]} applies to lemma claims only, not theorem-1" in err
+
+
+@pytest.mark.parametrize(
+    "extra, passed",
+    [((), {}), (("--seed", "4"), {"seed": 4}), (("--trials", "3"), {"trials": 3})],
+)
+def test_verify_lemma_passes_only_given_options(capsys, monkeypatch, extra, passed):
+    # options left out fall to verify_lemma's own defaults
+    seen = []
+    stub = VerdictReport("lemma-1", True, {}, (), (), (), 0.0)
+    monkeypatch.setattr(
+        cli_mod, "verify_lemma", lambda claim, **kw: seen.append(kw) or stub
+    )
+    code, _, _ = run(capsys, "verify", "lemma-1", *extra)
+    assert code == 0 and seen == [passed]
+
+
 def test_verify_theorem_accepts_explicit_options(capsys):
     code, out, _ = run(capsys, "verify", "theorem-1", "--n", "4", "--allow-large")
     assert code == 0 and json.loads(out)["passed"] is True

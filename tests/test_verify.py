@@ -100,7 +100,9 @@ def test_theorem_reports_are_deterministic():
 def test_theorem_failure_embeds_counterexamples(monkeypatch):
     # doctor the claims table: trees do not peak at the cycle's value
     bogus = dict(verify_mod._THEOREMS)
-    bogus["theorem-1"] = {"c": 0, "min": ("path", ("path",)), "max": ("cycle", ("cycle",))}
+    bogus["theorem-1"] = {
+        "c": 0, "min": ("path",), "max": ("cycle",), "note": "trees peak at the cycle",
+    }
     monkeypatch.setattr(verify_mod, "_THEOREMS", bogus)
     rep = verify_theorem("theorem-1", ns=[5])
     assert not rep.passed
