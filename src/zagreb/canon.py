@@ -25,13 +25,14 @@ J. Symb. Comput. 60, 2014).  The same search returns generators of the
 canonical graph's automorphism group: the transpositions of consecutive
 twins, which generate T, and for each tying leaf after the first the
 automorphism that carries the first (canonical) labeling onto it, which
-together meet every coset of T.
+together meet every coset of T.  It also returns that first labeling,
+through which class generation names a child's canonical deletion.
 
 The search reads neighbour lists, not a Graph: class generation hands it
-graph6.mask_rows() of each candidate mask, canonical_form() a Graph's own
-adjacency.  When the refinement gives every vertex its own colour, only
+a parent's graph6.mask_rows() with the new edge or leaf added,
+canonical_form() a Graph's own adjacency.  When the refinement gives every vertex its own colour, only
 one labeling is compatible with it (vertex v at position colors[v]), so
-the search returns that labeling's mask with a trivial group and no
+the search returns that labeling with its mask, a trivial group and no
 generators, and places nothing (McKay & Piperno stop at a discrete
 partition too).  Otherwise it places vertices position by position, the
 candidates for a position being the members of its colour cell, and
@@ -79,13 +80,17 @@ def canonical_form(g: Graph) -> str:
     return encode_mask(g.n, _canonical_search(g.n, g._adj)[0])
 
 
-def _canonical_search(n: int, adj) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(canonical adjacency mask, |Aut|, generators) from one search.
+def _canonical_search(
+    n: int, adj
+) -> tuple[int, int, list[tuple[int, ...]], list[int]]:
+    """(canonical adjacency mask, |Aut|, generators, labeling) from one search.
 
     adj[v] lists the neighbours of vertex v of a graph on n vertices
     (graph6.mask_rows, or a Graph's own adjacency).  The generators are
     permutations of the canonical graph's vertices, perm[i] being the
-    image of vertex i, that generate its automorphism group.  No size cap.
+    image of vertex i, that generate its automorphism group.  The labeling
+    pos puts vertex v at position pos[v] of the canonical graph.  No size
+    cap.
     """
     colors = _refine_colors(n, adj)
     if len(set(colors)) == n:
@@ -97,7 +102,7 @@ def _canonical_search(n: int, adj) -> tuple[int, int, list[tuple[int, ...]]]:
                 b = colors[w]
                 if a < b:
                     mask |= 1 << (b * (b - 1) // 2 + a)
-        return mask, 1, []
+        return mask, 1, [], colors
     # Positions are laid out in color order, which is invariant: cell[p]
     # lists the vertices of the color that position p must receive.
     members: list[list[int]] = [[] for _ in range(n)]
@@ -182,4 +187,4 @@ def _canonical_search(n: int, adj) -> tuple[int, int, list[tuple[int, ...]]]:
             swap = list(range(n))
             swap[pos[a]], swap[pos[b]] = pos[b], pos[a]
             gens.append(tuple(swap))
-    return mask, len(leaves) * twin_order, gens
+    return mask, len(leaves) * twin_order, gens, pos

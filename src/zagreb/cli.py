@@ -203,7 +203,7 @@ def _cmd_verify(args) -> int:
             flag = "--" + dest.replace("_", "-")
             raise GraphError(f"{flag} applies to {owner} claims only, not {args.claim}")
     if kind == "theorem":
-        ns = _parse_ns(args.n) if args.n else None
+        ns = _parse_ns(args.n) if args.n is not None else None
         if ns and ns[-1] > HARD_CAP:
             first = max(ns[0], HARD_CAP + 1)
             raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={first}")

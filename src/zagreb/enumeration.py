@@ -4,21 +4,41 @@ The extremal theorems concern isomorphism classes, so a deduplicated
 scan walks classes, not labeled graphs.  connected_classes(n, m) builds
 every connected class once: the trees on n vertices come from the trees
 on n-1 vertices with a leaf hung on a vertex, and the classes with m+1
-edges come from those with m edges by adding a non-edge, every candidate
-deduplicated by its canonical form.  The same canonical search counts
-|Aut| for each class, and a class stands for n!/|Aut| of the labeled
-graphs, so `visited` stays the labeled count.  Nothing is cached between
-calls.
+edges come from those with m edges by adding a non-edge.  The canonical
+search of each kept child gives its canonical mask, |Aut| and
+generators of its automorphism group.  A class stands for n!/|Aut| of
+the labeled graphs, so `visited` stays the labeled count.  Nothing is
+cached between calls.
 
-The search also returns generators of each class's automorphism group,
-and a parent is augmented only once per orbit of that group: a leaf on
+Each class is met once, along McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
+parent is augmented once per orbit of its automorphism group: a leaf on
 the lowest vertex of each vertex orbit, a new edge at the lowest index
-of each non-edge orbit.  An automorphism carries one augmentation of an
-orbit onto another, so they give isomorphic children, and the lowest
-member comes first in the old loop order: the classes, their |Aut| and
-the order they are first met are unchanged.  (This is the orbit step of
-McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998;
-the canonical-form dedup stays in place of canonical augmentation.)
+of each non-edge orbit.  A child is kept only when what was added lies
+in the Aut(child)-orbit of the child's canonical deletion:
+
+- on edge levels, among the non-bridge edges uv that maximise
+  (d(u)+d(v), min d, s(u)+s(v), min s), the one with the lowest
+  canonical edge index, where d is the degree and s(x) the sum of x's
+  neighbours' degrees;
+- on tree levels, among the leaves whose neighbour maximises (d, s),
+  the one at the lowest canonical position.
+
+Deleting it leaves a connected class of the level before, and the
+deletion is fixed up to an automorphism, so each class is kept from
+exactly one parent and one orbit of its augmentations.
+
+The invariant settles most candidates before any search (McKay &
+Piperno, "Practical graph isomorphism, II", 2014).  Per parent, the
+gate holds its degrees, neighbour-degree sums and bridges, each with
+the vertices on one side of it, and the largest degree sum of a
+non-bridge edge.  Adding an edge makes no bridge and lowers no degree,
+so a new edge uv is rejected at once when that sum exceeds
+d(u)+d(v)+2.  Otherwise the child's degrees and sums follow from the
+parent's by +1 updates, and a parent bridge stays one exactly when u
+and v lie on the same side of it.  Only an edge that no rival beats
+reaches the canonical search, whose labeling names the canonical
+deletion among the tied edges and whose generators decide the orbit.
 
 A labeled scan (dedup=False) runs the same class scan and then expands
 only the extreme classes into their labeled members: every relabeling
@@ -192,17 +212,18 @@ def _labeled_members(n: int, masks) -> list[int]:
     return sorted(members, key=lambda k: f"{k:0{width}b}"[::-1], reverse=True)
 
 
-def _dedup(n: int, masks):
-    # {canonical mask: |Aut|} and {canonical mask: Aut generators} of the
-    # labeled (n-vertex) masks given, in the order the classes first appear
-    classes: dict[int, int] = {}
-    gens: dict[int, list[tuple[int, ...]]] = {}
-    for mask in masks:
-        form, aut, perms = _canonical_search(n, mask_rows(n, mask))
-        if form not in classes:
-            classes[form] = aut
-            gens[form] = perms
-    return classes, gens
+def _orbit(point, perms) -> set[int]:
+    """The orbit of point under the group the perms generate."""
+    seen = {point}
+    stack = [point]
+    while stack:
+        q = stack.pop()
+        for perm in perms:
+            r = perm[q]
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return seen
 
 
 def _orbit_reps(points, perms) -> list[int]:
@@ -214,54 +235,183 @@ def _orbit_reps(points, perms) -> list[int]:
     reps: list[int] = []
     seen: set[int] = set()
     for p in points:
-        if p in seen:
-            continue
-        reps.append(p)
-        seen.add(p)
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            for perm in perms:
-                r = perm[q]
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
+        if p not in seen:
+            reps.append(p)
+            seen |= _orbit(p, perms)
     return reps
 
 
 def _pair_perm(perm, pairs) -> tuple[int, ...]:
     # the vertex permutation's action on the indices of the edge table pairs
-    return tuple(
-        a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a
-        for a, b in ((perm[u], perm[v]) for u, v in pairs)
-    )
+    # (a plain loop: half the time of nested generators)
+    images = []
+    for u, v in pairs:
+        a, b = perm[u], perm[v]
+        images.append(a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a)
+    return tuple(images)
+
+
+def _bridge_sides(n: int, rows) -> dict[tuple[int, int], int]:
+    """{(a, b): side} for each bridge ab, a < b, of a connected graph.
+
+    side is the vertex mask of one of the two parts the bridge joins: the
+    depth-first subtree below it (Tarjan's low-point test).
+    """
+    order = [-1] * n
+    low = [0] * n
+    sides: dict[tuple[int, int], int] = {}
+    clock = iter(range(n))
+
+    def visit(w: int, up: int) -> int:
+        order[w] = low[w] = t = next(clock)
+        below = 1 << w
+        for x in rows[w]:
+            if order[x] < 0:
+                sub = visit(x, w)
+                below |= sub
+                low[w] = min(low[w], low[x])
+                if low[x] > t:
+                    sides[(w, x) if w < x else (x, w)] = sub
+            elif x != up:
+                low[w] = min(low[w], order[x])
+        return below
+
+    visit(0, -1)
+    return sides
+
+
+def _collect(children):
+    # {canonical mask: |Aut|} and {canonical mask: Aut generators} of the
+    # kept children; a class kept twice would break every weight silently
+    classes: dict[int, int] = {}
+    gens: dict[int, list[tuple[int, ...]]] = {}
+    for form, aut, perms in children:
+        if form in classes:
+            raise RuntimeError(f"class generation kept the class of mask {form} twice")
+        classes[form] = aut
+        gens[form] = perms
+    return classes, gens
+
+
+def _leaf_children(k: int, parents):
+    """(canonical mask, |Aut|, generators) of each tree on k vertices.
+
+    parents maps the canonical mask of each tree on k-1 vertices to its
+    Aut generators; leaf k-1 is hung on each vertex orbit's lowest member
+    and kept when it lies in the orbit of the canonical leaf.
+    """
+    for mask, perms in parents.items():
+        # the mask on k-1 vertices is the same mask on k, vertex k-1 isolated
+        rows = mask_rows(k, mask)
+        for v in _orbit_reps(range(k - 1), perms):
+            adj = rows[:]
+            adj[v] = rows[v] + [k - 1]
+            adj[k - 1] = [v]
+            deg = list(map(len, adj))
+            # each leaf w scores (d, s) of its neighbour y
+            score = {
+                w: (deg[y], sum([deg[x] for x in adj[y]]))
+                for w in range(k) if deg[w] == 1 for y in adj[w]
+            }
+            top = score[k - 1]
+            if max(score.values()) > top:
+                continue
+            form, aut, cperms, pos = _canonical_search(k, adj)
+            # the canonical leaf: the tied leaf of lowest canonical position
+            ranks = [pos[w] for w, key in score.items() if key == top]
+            if pos[k - 1] in _orbit(min(ranks), cperms):
+                yield form, aut, cperms
+
+
+def _edge_children(n: int, parents, pairs):
+    """(canonical mask, |Aut|, generators) of each class one edge up.
+
+    parents maps the canonical mask of each connected class with m edges
+    to its Aut generators; a new edge goes in at the lowest index of each
+    non-edge orbit and is kept when it lies in the orbit of the canonical
+    deletion.
+    """
+    full = len(pairs)
+    for mask, perms in parents.items():
+        rows = mask_rows(n, mask)
+        deg = list(map(len, rows))
+        nsum = [sum([deg[w] for w in row]) for row in rows]
+        edges = [(a, b) for b, row in enumerate(rows) for a in row if a < b]
+        sides = _bridge_sides(n, rows)
+        # adding uv makes no bridge and lowers no degree, so a non-bridge
+        # edge of degree sum above d(u)+d(v)+2 outscores uv in the child
+        gate = max([deg[a] + deg[b] for a, b in edges if (a, b) not in sides], default=0)
+        for j in _orbit_reps(
+            [j for j in range(full) if not mask >> j & 1],
+            [_pair_perm(perm, pairs) for perm in perms],
+        ):
+            u, v = pairs[j]
+            if gate > deg[u] + deg[v] + 2:
+                continue
+            d = deg[:]
+            d[u] += 1
+            d[v] += 1
+            s = nsum[:]
+            for w in rows[u]:
+                s[w] += 1
+            for w in rows[v]:
+                s[w] += 1
+            s[u] += d[v]
+            s[v] += d[u]
+            tied = _ties(edges, sides, d, s, u, v)
+            if tied is None:
+                continue
+            adj = rows[:]
+            adj[u] = rows[u] + [v]
+            adj[v] = rows[v] + [u]
+            form, aut, cperms, pos = _canonical_search(n, adj)
+            if len(tied) > 1:
+                # the canonical deletion: the tied edge of lowest canonical index
+                ranks = _pair_perm(pos, tied)
+                if ranks[0] not in _orbit(min(ranks), [_pair_perm(p, pairs) for p in cperms]):
+                    continue
+            yield form, aut, cperms
+
+
+def _ties(edges, sides, d, s, u, v):
+    """The child's non-bridge edges that score as high as its new edge uv.
+
+    The list starts with uv; None when some non-bridge edge scores higher.
+    d and s are the child's degrees and neighbour-degree sums; an edge of
+    the parent that sides names is still a bridge when u and v lie on the
+    same side of it.
+    """
+    du, dv, su, sv = d[u], d[v], s[u], s[v]
+    top = (du + dv, min(du, dv), su + sv, min(su, sv))
+    tied = [(u, v)]
+    for a, b in edges:
+        da, db = d[a], d[b]
+        if da + db < top[0]:
+            continue
+        sa, sb = s[a], s[b]
+        key = (da + db, min(da, db), sa + sb, min(sa, sb))
+        if key < top:
+            continue
+        side = sides.get((a, b))
+        if side is not None and (side >> u & 1) == (side >> v & 1):
+            continue
+        if key > top:
+            return None
+        tied.append((a, b))
+    return tied
 
 
 def _class_levels(n: int):
     """Yield (m, connected_classes(n, m)) for m = n-1 .. C(n,2) in turn."""
-    # a mask on k-1 vertices is the same mask on k with vertex k-1 isolated,
-    # and edge (u, v), u < v, has index v(v-1)/2 + u
     level, gens = {0: 1}, {0: []}
     for k in range(2, n + 1):
-        base = (k - 1) * (k - 2) // 2
-        level, gens = _dedup(k, (
-            mask | 1 << (base + v)
-            for mask, perms in gens.items()
-            for v in _orbit_reps(range(k - 1), perms)
-        ))
-    full = n * (n - 1) // 2
+        level, gens = _collect(_leaf_children(k, gens))
     pairs = edge_table(n)
+    full = len(pairs)
     for m in range(n - 1, full + 1):
         yield m, level
         if m < full:
-            level, gens = _dedup(n, (
-                mask | 1 << j
-                for mask, perms in gens.items()
-                for j in _orbit_reps(
-                    [j for j in range(full) if not mask >> j & 1],
-                    [_pair_perm(perm, pairs) for perm in perms],
-                )
-            ))
+            level, gens = _collect(_edge_children(n, gens, pairs))
 
 
 def connected_classes(n: int, m: int) -> dict[int, int]:

@@ -115,10 +115,10 @@ TWIN_HEAVY = {
 }
 
 
-# sha256 of repr((n, mask, _canonical_search output, canonical_form)) over
-# _sample_masks(): canonical masks, |Aut| and the generators in order,
-# taken before the search read neighbour lists and stopped at a discrete
-# refinement
+# sha256 of repr((n, mask, _canonical_search output bar the labeling,
+# canonical_form)) over _sample_masks(): canonical masks, |Aut| and the
+# generators in order, taken before the search read neighbour lists and
+# stopped at a discrete refinement
 SEARCH_DIGEST = "759c74d274e2bb954ecb0c6023bea4dca088dd46acb8652ff1ffaeed12553448"
 
 
@@ -144,11 +144,24 @@ def test_search_digest_and_entry_points_agree():
         g = graph_of_mask(n, mask)
         got = _canonical_search(n, rows)
         assert got == _canonical_search(g.n, g._adj), (n, mask)
-        h.update(repr((n, mask, got, canonical_form(g))).encode())
+        h.update(repr((n, mask, got[:3], canonical_form(g))).encode())
         disconnected += not is_connected(g)
         discrete += len(set(_refine_colors(n, rows))) == n
     assert h.hexdigest() == SEARCH_DIGEST
     assert disconnected > 100 and discrete > 100, (disconnected, discrete)
+
+
+def test_labeling_places_the_graph_on_its_canonical_mask():
+    # class generation names a child's canonical deletion through pos
+    for n, mask in _sample_masks():
+        rows = mask_rows(n, mask)
+        form, _, _, pos = _canonical_search(n, rows)
+        assert sorted(pos) == list(range(n)), (n, mask)
+        placed = 0
+        for u, v in graph_of_mask(n, mask).edges:
+            a, b = sorted((pos[u], pos[v]))
+            placed |= 1 << (b * (b - 1) // 2 + a)
+        assert placed == form, (n, mask)
 
 
 def _self_maps(n, mask) -> int:
@@ -184,7 +197,7 @@ def test_discrete_refinements_are_rigid_and_canonical():
                 continue
             found += 1
             g = graph_of_mask(n, mask)
-            form, aut, gens = _canonical_search(n, rows)
+            form, aut, gens, _ = _canonical_search(n, rows)
             assert (aut, gens) == (1, [])
             h = _nx(g)
             assert sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter()) == 1
@@ -192,13 +205,13 @@ def test_discrete_refinements_are_rigid_and_canonical():
                 perm = list(range(n))
                 rng.shuffle(perm)
                 r = relabeled(g, perm)
-                assert _canonical_search(r.n, r._adj) == (form, 1, [])
+                assert _canonical_search(r.n, r._adj)[:3] == (form, 1, [])
 
 
 @pytest.mark.parametrize("name", sorted(TWIN_HEAVY))
 def test_twin_heavy_graphs(name):
     g, aut = TWIN_HEAVY[name]
-    form, got, _ = _canonical_search(g.n, g._adj)
+    form, got = _canonical_search(g.n, g._adj)[:2]
     assert got == aut
     rng = random.Random(name)
     for _ in range(6):

@@ -28,7 +28,7 @@ from zagreb import (
     graph6_decode,
     make_graph,
 )
-from zagreb import _kernel
+from zagreb import _kernel, enumeration
 from zagreb.canon import _canonical_search
 from zagreb.enumeration import _class_levels
 from zagreb.graph6 import encode_mask, graph_of_mask
@@ -48,45 +48,50 @@ A001349 = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # cycle index above and equal to what _class_levels(9) and (10) produce
 CLASSES_C3 = {9: (47, 240, 797, 2075), 10: (106, 657, 2678, 8548)}
 
-# sha256 of repr(list(classes.items())) for each (m, classes) that
-# _class_levels(7) yields: canonical masks, |Aut| and first-seen order;
-# taken when every candidate child was canonicalized
+# sha256 of repr(sorted(classes.items())) for each (m, classes) that
+# _class_levels(7) yields: canonical masks and |Aut|, not the order a level
+# meets its classes in; taken when every candidate child was canonicalized
 LEVELS_N7_DIGESTS = {
-    6: "df09d41407601a9e3804b35a066d807d16ccbd43ee58e21d5f9a2962905f9dba",
-    7: "f90347dc1584827a388071ac6a9d499648828932d6e768000cf78a18c95c2f18",
-    8: "4d2e01867bd37deca5b8fe52e901b5b58627d322d59d28c14715c8a323ae9a65",
-    9: "f40673b98e752a0b5bf633aee6d577af86c4d2cc3f7893140968d5bc410267b1",
-    10: "5c58fc70d41979624a2e08ea2b27b7c3bbdf8b2a38f155f3fbae743dae1ecdec",
-    11: "78750560075d22e3d7a0c026996bf1502f01f846a472a15d02325d7d0354104c",
-    12: "f4c266fbb644ea85c56d9784ecf3d16d3dc5ce8fe6eacf417b45172237ff163b",
-    13: "3ea6bef37f2f526dc9cc26d394ced3abb7f588dd24190816e17cd3ae138d5c31",
-    14: "723c0cbe1fa0ddd83660d9d4d04d3537ee1d0547f4d757cb32b77763ed400e87",
-    15: "ccc03ceca272c97fb11804733408201606bb301644ee02961bc4c3d69061eaf5",
-    16: "1d9f5a64341eb4276418b0aa1bb0d9fe4f155c42b9b0f6725056f5f53b3e248f",
-    17: "cb975a044fb4f00e53d00780e2b121f80fdeb55823b613f73aa8ed2331677673",
-    18: "19eabde9f37117542ef9cf19a4755578b7331dafa552e3994aefe25059445302",
-    19: "cf166543c896e4088ea5f6d11e351ecd3cc5905fb2f9741784be05d04c838408",
+    6: "3ddc553fbccda33c834201c9ec555a4154b25b564fc7befbf9335589ecc616c2",
+    7: "b582418c116130117528109fafb9f9afc79634d065c5b747da8e9e9ca80f3051",
+    8: "0789dd9fde74c77eb7bde4bb6bf6f0e9e8994fea04cd0c17923ad53dc813eb41",
+    9: "146223e5a4219af7bd8ea1847d7bbf2a2e274f7da58a6633cb2ebddf66dc1290",
+    10: "3984b39f9b4e0d5437f72fd01fb0c5543e698d5644505780b26740f1b4601860",
+    11: "4b5438b52559b11b22287af2669eaedc5d4207b2ce4006840c8051d518b7084a",
+    12: "df90336987fc6fa3795eab3671b11df992a48495f3e7afbb7b88abc0e8a62ba8",
+    13: "d912eaf6eb555f87d41bbf55bddc6b25b60e237ce9d2d4a94cca9f414049f5bc",
+    14: "a7fce41f569a4753cac1305249495f2753b0afc86e7b894900803d30d45d9a9b",
+    15: "7d99c88d6883abc9cb6d6702b32a7b344af3af4ab03fa5eb673998e4b3c857de",
+    16: "eee50d1f63ee409764313574a2eabdcce272fe03453c796b75e8b7c8ea3c830a",
+    17: "7cadeb7d0250f87cc76f4c61b5261609c212310bc2f45c9f8b6d99843faf899a",
+    18: "faeac9f6315075bde91fcef2285ae656072f5f7b6540ba0a7b9770a6e3e9bace",
+    19: "d04404e4b9f72f5ab614b072a4e20cc8abc3b1ffb824d579fb14b7e05c9a559a",
     20: "90f4d5d42d23ff7beb49b9336b0d6f9c49fce74f3562186678a0779a78fbd6b4",
     21: "18dcfbfb07b6137dcb77dde2c08b1150827d3fcab12e290aeb50595de25ffaae",
 }
 
 # the same digests for the c = 0..3 levels of _class_levels(8), which pin
-# the canonical masks, |Aut| and order beside the counts
+# the canonical masks and |Aut| beside the counts
 LEVELS_N8_C3_DIGESTS = {
-    7: "5b6ac4a9dc0c59968eef7e141e4a19def0e218d0de2a98688a98d4cd8d67631e",
-    8: "10c82dcbd99d78a8307a98f88b595d672f07f5c6a4d9a82c9f6d9fd7c1296268",
-    9: "bd90e2add7ebc38981754f3a7f6c31ac408fcefe5a8e12635867017c6df5985f",
-    10: "6e44d35aed986befe8a39944e11c3bfdb2093ae9e4571dbc721131ee942a4ae1",
+    7: "52920b7b7e04dc7117e1812726d2f67c6533dcfb288c0af9cf6d9539ce39773f",
+    8: "3b0a6609467d5929f9a169cd30878d7678fc43bef2fcf1b01f90cfdcd24e38be",
+    9: "cbf0754ff849355902edaa237ebe634aaeb8f5d933b1b1b873078a6d58315f61",
+    10: "fbfc22eb69307848c322940dbc5331ffe4ce07b0fd592af889562960be119295",
 }
 
 # and for the c = 0..3 levels of _class_levels(9), whose counts CLASSES_C3
-# pins; taken before the canonical search read neighbour lists
+# pins; taken when every candidate child was canonicalized
 LEVELS_N9_C3_DIGESTS = {
-    8: "c00c4935254e7cfb1f10a9e232389295508fee139880759cdab6134b424c53b7",
-    9: "f945b93c3ce47d8a1625da6e603551a562a254c1c65a1a4e648d9e24f59d2df0",
-    10: "d53ca726addc13de8d8cd21481b9f3446322f52dd286455deb36fa221d6e9173",
-    11: "6a2369240259efa588c7d02f4b6447312944070ba89a6dec8111a0c695c5db3e",
+    8: "32404435eaec1ac18933e1674608467ce2c69c5b9f83c7bb13079bc53005290b",
+    9: "a4c9fe0808f9a4a1255cac792ed629bb4c996b26f45f0a342e44d046f3e7543e",
+    10: "6f2e55da26ad7698a8a70996094908ecc54e63e55ace4bd6c759b41b298fa8b9",
+    11: "393ffc22d4b4601988c5b84e4b3389e9104c1862d60e02e782027577b054b7d0",
 }
+
+
+def _digest(classes) -> str:
+    # a level's content, whatever order its classes were met in
+    return hashlib.sha256(repr(sorted(classes.items())).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +99,7 @@ def levels():
     # n -> m -> {canonical mask: |Aut|}, every edge count
     built = {n: dict(_class_levels(n)) for n in range(1, 8)}
     for m, classes in built[7].items():
-        digest = hashlib.sha256(repr(list(classes.items())).encode()).hexdigest()
-        assert digest == LEVELS_N7_DIGESTS[m], m
+        assert _digest(classes) == LEVELS_N7_DIGESTS[m], m
     for n, by_m in built.items():
         counts = {m: u for m, u in enumerate(CYCLE_INDEX[n]) if u}
         assert {m: len(classes) for m, classes in by_m.items()} == counts, n
@@ -147,8 +151,7 @@ def test_weights_sum_to_the_labeled_counts(levels):
     for m, classes in islice(_class_levels(8), 4):  # c = 0..3
         assert sum(order // aut for aut in classes.values()) == RECURRENCE[8][m], m
         assert len(classes) == CYCLE_INDEX[8][m], m
-        digest = hashlib.sha256(repr(list(classes.items())).encode()).hexdigest()
-        assert digest == LEVELS_N8_C3_DIGESTS[m], m
+        assert _digest(classes) == LEVELS_N8_C3_DIGESTS[m], m
 
 
 def test_n9_levels_pinned_by_content():
@@ -160,8 +163,26 @@ def test_n9_levels_pinned_by_content():
     assert [len(classes) for _, classes in levels] == list(CLASSES_C3[9])
     for m, classes in levels:
         assert sum(order // aut for aut in classes.values()) == labeled[m], m
-        digest = hashlib.sha256(repr(list(classes.items())).encode()).hexdigest()
-        assert digest == LEVELS_N9_C3_DIGESTS[m], m
+        assert _digest(classes) == LEVELS_N9_C3_DIGESTS[m], m
+
+
+def test_n10_levels_match_the_cycle_index_and_the_recurrence():
+    # the c <= 3 levels at n = 10: class counts and n!/|Aut| weights
+    order = math.factorial(10)
+    levels = list(islice(_class_levels(10), 4))
+    assert [len(classes) for _, classes in levels] == list(CLASSES_C3[10])
+    weights = [sum(order // aut for aut in classes.values()) for _, classes in levels]
+    assert weights == labeled_connected_counts(10)[10][9:13]
+    assert weights == [100_000_000, 880_107_840, 4_432_075_200, 16_530_124_800]
+
+
+def test_a_class_kept_twice_raises(monkeypatch):
+    # without the parent-side orbit step, two augmentations in one orbit
+    # both pass the canonical-deletion test; a level that let the second
+    # overwrite the first would still show every count right
+    monkeypatch.setattr(enumeration, "_orbit_reps", lambda points, perms: list(points))
+    with pytest.raises(RuntimeError, match="twice"):
+        dict(_class_levels(4))
 
 
 def test_cycle_index_counts_match_oeis():
@@ -208,7 +229,7 @@ def test_generators_are_automorphisms_generating_aut(levels):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 h = relabeled(g, perm)
-                form, got, gens = _canonical_search(h.n, h._adj)
+                form, got, gens, _ = _canonical_search(h.n, h._adj)
                 assert (form, got) == (mask, aut), (n, encode_mask(n, mask))
                 edges = set(g.edges)
                 for gen in gens:

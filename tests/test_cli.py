@@ -361,6 +361,7 @@ def test_workers_option_is_rejected(capsys, argv):
         ("theorem-2", "12..15", "capped at n=9, got n=12"),
         ("theorem-1", "4..1000000000000000000", "capped at n=9, got n=10"),
         ("theorem-4", "4..9", "allow_large"),
+        ("theorem-1", "", "bad order range ''"),
     ],
 )
 def test_verify_theorem_rejects_orders_before_any_scan(
