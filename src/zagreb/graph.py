@@ -7,7 +7,6 @@ returns a fresh Graph; nothing mutates in place.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 
@@ -92,8 +91,34 @@ def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def _check_vertex(g: Graph, v: int) -> None:
-    if not isinstance(v, int) or v < 0 or v >= g.n:
+    if type(v) is not int or v < 0 or v >= g.n:
         raise GraphError(f"vertex {v!r} out of range 0..{g.n - 1}")
+
+
+def _reach(adj, start: int, inside) -> set[int]:
+    """start plus every vertex it reaches stepping only onto vertices of inside."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in inside and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _kept(g: Graph, drop, skip=()) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Labels 0, 1, ... for the vertices outside drop, in their old order, and
+    g's edges among them, bar the sorted pairs in skip, under those labels."""
+    remap = {}
+    for t in range(g.n):
+        if t not in drop:
+            remap[t] = len(remap)
+    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
+    # few edges are skipped, so dropping them afterwards beats a test per edge
+    for a, b in skip:
+        edges.remove((remap[a], remap[b]))
+    return remap, edges
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -102,13 +127,13 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Rejects out-of-range endpoints, loops and duplicate edges, naming the
     offending pair.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphError(f"need at least one vertex, got n={n!r}")
     adj: list[set[int]] = [set() for _ in range(n)]
     es: list[tuple[int, int]] = []
     for pair in edges:
         u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if type(u) is not int or type(v) is not int:
             raise GraphError(f"non-integer endpoint in edge {pair!r}")
         if u < 0 or u >= n or v < 0 or v >= n:
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
@@ -138,19 +163,7 @@ def edge_degree(g: Graph, u: int, v: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    adj = g._adj
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if not seen[x]:
-                seen[x] = 1
-                count += 1
-                queue.append(x)
-    return count == g.n
+    return len(_reach(g._adj, 0, range(g.n))) == g.n
 
 
 def cyclomatic_number(g: Graph) -> int:
@@ -168,30 +181,27 @@ def pendant_vertices(g: Graph) -> tuple[int, ...]:
 def brace(g: Graph) -> Graph:
     """Delete degree-1 vertices repeatedly until none remain.
 
-    The result is relabeled by order-preserving compaction.  Raises
-    GraphError when the fixed point is empty or still has degree < 2
-    somewhere, i.e. when some component carries no cycle (trees in
-    particular have no brace).
+    The result is relabeled by order-preserving compaction.  A vertex is
+    deleted only while it has a live neighbor, so the fixed point is never
+    empty; raises GraphError when it still has degree < 2 somewhere, i.e.
+    when some component carries no cycle (trees in particular have none).
     """
-    alive = set(range(g.n))
+    dead = set()
     deg = [len(g._adj[v]) for v in range(g.n)]
-    queue = deque(v for v in alive if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
-        if v not in alive or deg[v] != 1:
+    stack = [v for v in range(g.n) if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if v in dead or deg[v] != 1:
             continue
-        alive.discard(v)
+        dead.add(v)
         for w in g._adj[v]:
-            if w in alive:
+            if w not in dead:
                 deg[w] -= 1
                 if deg[w] == 1:
-                    queue.append(w)
-    if not alive:
-        raise GraphError("brace is empty: the graph is acyclic")
-    if any(deg[v] < 2 for v in alive):
+                    stack.append(w)
+    if any(deg[v] < 2 for v in range(g.n) if v not in dead):
         raise GraphError("brace undefined: some component carries no cycle")
-    remap = {t: i for i, t in enumerate(sorted(alive))}
-    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
+    remap, edges = _kept(g, dead)
     return _from_edges(len(remap), edges)
 
 
@@ -208,9 +218,8 @@ def fuse(g: Graph, u: int, v: int) -> Graph:
         raise GraphError("cannot fuse a vertex with itself")
     if g.has_edge(u, v):
         raise GraphError(f"cannot fuse adjacent vertices ({u}, {v})")
-    remap = {t: i for i, t in enumerate(t for t in range(g.n) if t != u and t != v)}
+    remap, edges = _kept(g, (u, v))
     w = g.n - 2
-    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
     edges += [(remap[x], w) for x in g._adj[u] | g._adj[v]]
     return _from_edges(w + 1, edges)
 
@@ -247,10 +256,13 @@ def read_edge_list(text: str) -> Graph:
     ]
     if not rows:
         raise GraphError("empty edge-list text")
+    for r in rows[1:]:
+        if len(r) != 2:
+            raise GraphError(f"edge line must be 'u v', got {r!r}")
     try:
         header = [int(t) for t in rows[0]]
-        body = [(int(r[0]), int(r[1])) for r in rows[1:]]
-    except (ValueError, IndexError) as exc:
+        body = [(int(u), int(v)) for u, v in rows[1:]]
+    except ValueError as exc:
         raise GraphError(f"malformed edge-list text: {exc}") from None
     if len(header) != 2:
         raise GraphError(f"header must be 'n m', got {rows[0]!r}")

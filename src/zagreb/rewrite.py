@@ -3,16 +3,19 @@
 Each operation validates its arguments as vertices, then checks its site
 by reading the adjacency sets directly, and returns a fresh graph, built
 once, with the first reformulated index before and after and a map from
-old labels to new ones for the vertices that survive.  Operations I, II
-and IV push that index strictly up; operation III pulls it strictly
-down.  find_applicable lists every valid site, reading the adjacency the
-same way, so property sweeps can cover whole corpora.  Callers need no
+old labels to new ones for the vertices that survive: II (a fusion plus
+pendants) and III take those labels from graph._kept, and III checks its
+subtree's connectivity with graph._reach.  Operations I, II and IV push
+that index strictly up; operation III pulls it strictly down.
+find_applicable lists every valid site, reading the adjacency the same
+way, so property sweeps can cover whole corpora.  Callers need no
 prefilter: a finder returns [] on a graph without the pendant (I, III,
 IV) or degree-2 vertex (II) that each of its sites needs.
 
 One table maps each kind to its operation, the RewriteSpec fields that
 operation takes (in argument order) and its site finder; KINDS,
-apply_rewrite and find_applicable all read it.
+apply_rewrite (which rejects a field its kind does not take) and
+find_applicable all read it.
 
 Two site conditions here are stricter than the loosest reading of the
 construction sketches they come from: operation II requires the two
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, _from_edges
+from .graph import Graph, GraphError, _from_edges, _kept, _reach
 from .indices import em1
 
 class RewriteError(GraphError):
@@ -64,7 +67,7 @@ class RewriteResult:
 
 
 def _vertex(g: Graph, x, role: str) -> int:
-    if not isinstance(x, int) or not 0 <= x < g.n:
+    if type(x) is not int or not 0 <= x < g.n:
         raise RewriteError(f"{role}={x!r} is not a vertex of an n={g.n} graph")
     return x
 
@@ -144,27 +147,13 @@ def operation_ii(g: Graph, path) -> RewriteResult:
             f"fusing would merge parallel edges"
         )
 
-    # survivors compact to 0..n-3 in order; the fused vertex takes n-2,
-    # the fresh pendant n-1
-    remap = {}
-    for t in range(g.n):
-        if t != u and t != v:
-            remap[t] = len(remap)
-    w_new, fresh = g.n - 2, g.n - 1
-    path_edges = {(min(a, b), max(a, b)) for a, b in zip(p, p[1:])}
-    edges = []
-    for a, b in g.edges:
-        if (a, b) in path_edges:
-            continue
-        if a in (u, v):
-            edges.append((remap[b], w_new))
-        elif b in (u, v):
-            edges.append((remap[a], w_new))
-        else:
-            edges.append((remap[a], remap[b]))
-    edges += [(remap[t], w_new) for t in p[1:-1]]
-    edges.append((w_new, fresh))
-    return _rewritten(g, edges, {**remap, u: w_new, v: w_new})
+    # fuse u and v into n-2 as graph.fuse does; interior and fresh n-1 hang off it
+    skip = [(min(a, b), max(a, b)) for a, b in zip(p[1:-2], p[2:-1])]
+    remap, edges = _kept(g, (u, v), skip)
+    w = g.n - 2
+    edges += [(remap[x], w) for x in off_u | off_v | set(p[1:-1])]
+    edges.append((w, w + 1))
+    return _rewritten(g, edges, {**remap, u: w, v: w})
 
 
 def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
@@ -204,16 +193,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
             "operation III: subtree plus root must induce a tree "
             f"({edge_count} edges on {len(s) + 1} vertices)"
         )
-    # tree needs connectivity too: walk it from the root
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if (w in s or w == root) and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(s) + 1:
+    if len(_reach(adj, root, s)) != len(s) + 1:
         raise RewriteError("operation III: subtree plus root must induce a tree")
     outside = len(adj[root]) - ties
     if outside < 2:
@@ -223,16 +203,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
         )
 
     # kept vertices compact to 0..n-k-1 in order; the chain takes n-k..n-1
-    remap = {}
-    for t in range(g.n):
-        if t not in s:
-            remap[t] = len(remap)
-    cut = (min(root, y), max(root, y))
-    edges = [
-        (remap[a], remap[b])
-        for a, b in g.edges
-        if a not in s and b not in s and (a, b) != cut
-    ]
+    remap, edges = _kept(g, s, [(min(root, y), max(root, y))])
     stops = [remap[root], *range(len(remap), g.n), remap[y]]
     edges += [(min(a, b), max(a, b)) for a, b in zip(stops, stops[1:])]
     return _rewritten(g, edges, remap)
@@ -328,24 +299,13 @@ def _sites_ii(g: Graph) -> list[RewriteSpec]:
 
 def _hanging_trees(adj, root: int) -> list[tuple[int, ...]]:
     # components of g minus root that are trees tied to root by exactly one edge
-    seen = {root}
+    rest = set(range(len(adj))) - {root}
     comps = []
-    for t in range(len(adj)):
-        if t in seen:
-            continue
-        comp = [t]
-        seen.add(t)
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        cset = set(comp)
-        inner = sum(len(adj[x] & cset) for x in comp) // 2
-        ties = len(adj[root] & cset)
+    while rest:
+        comp = _reach(adj, rest.pop(), rest)
+        rest -= comp
+        inner = sum(len(adj[x] & comp) for x in comp) // 2
+        ties = len(adj[root] & comp)
         if inner == len(comp) - 1 and ties == 1:
             comps.append(tuple(sorted(comp)))
     comps.sort()
@@ -420,6 +380,9 @@ def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
     for f, val in zip(fields, args):
         if val is None:
             raise RewriteError(f"operation {spec.kind} needs {f!r}")
+    for f, val in vars(spec).items():
+        if val is not None and f != "kind" and f not in fields:
+            raise RewriteError(f"operation {spec.kind} does not take {f!r}")
     return op(g, *args)
 
 

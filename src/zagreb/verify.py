@@ -21,7 +21,6 @@ counterexample names the class representative.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
@@ -196,18 +195,14 @@ def _prufer_edges(n: int, seq) -> list[tuple[int, int]]:
     deg = [1] * n
     for x in seq:
         deg[x] += 1
-    leaves = [t for t in range(n) if deg[t] == 1]
-    heapq.heapify(leaves)
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
+        leaf = deg.index(1)  # the lowest leaf; a used one reads 0
+        deg[leaf] = 0
         edges.append((min(leaf, x), max(leaf, x)))
         deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(leaves, x)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    edges.append((min(a, b), max(a, b)))
+    a = deg.index(1)
+    edges.append((a, deg.index(1, a + 1)))
     return edges
 
 

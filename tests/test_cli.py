@@ -211,6 +211,14 @@ def test_transform_inapplicable_site_exits_2(capsys):
     assert err.startswith("error: operation I:")
 
 
+def test_transform_rejects_fields_the_operation_does_not_take(capsys):
+    argv = ["transform", "DhC", "--op", "IV", "--u", "1", "--v", "3"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--root", "2", "--path", "9,9")
+    assert (code, out) == (2, "")
+    assert err == "error: operation IV does not take 'path'\n"
+
+
 def test_transform_rejects_bad_path_text(capsys):
     code, _, err = run(capsys, "transform", "C~", "--op", "II", "--path", "2,x")
     assert code == 2 and "comma-separated integers" in err

@@ -38,6 +38,7 @@ def test_make_graph_normalizes_and_orders():
         (3, [(1, 1)], "loop"),
         (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
         (3, [("a", 1)], "non-integer endpoint"),
+        (True, [], "need at least one vertex, got n=True"),
     ],
 )
 def test_make_graph_rejects(n, edges, fragment):
@@ -58,6 +59,8 @@ def test_degree_and_edge_degree():
     assert edge_degree(K4, 0, 3) == 4
     with pytest.raises(GraphError, match="not an edge"):
         edge_degree(P4, 0, 2)
+    with pytest.raises(GraphError, match="vertex True out of range"):
+        P4.degree(True)
     with pytest.raises(GraphError, match="out of range"):
         degree(P4, 9)
 
@@ -191,6 +194,13 @@ def test_edge_list_round_trip():
     assert read_edge_list("# comment\n2 1\n\n0 1\n") == make_graph(2, [(0, 1)])
 
 
+def test_bool_endpoint_never_reaches_the_edge_list():
+    # True == 1, but a graph holding it would write "True 2", which
+    # read_edge_list rejects; make_graph refuses it instead
+    with pytest.raises(GraphError, match=r"non-integer endpoint in edge \(True, 2\)"):
+        write_edge_list(make_graph(3, [(True, 2), (0, 1)]))
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -198,6 +208,8 @@ def test_edge_list_round_trip():
         ("2\n", "header"),
         ("3 2\n0 1\n", "promises 2 edges, found 1"),
         ("2 1\n0 x\n", "malformed"),
+        ("2 1\n0 1 junk\n", "edge line must be 'u v', got ['0', '1', 'junk']"),
+        ("2 1\n0\n", "edge line must be 'u v', got ['0']"),
     ],
 )
 def test_edge_list_rejects(text, fragment):

@@ -89,6 +89,7 @@ def test_operation_iv_moves_pendants_across():
         (lambda: operation_i(path_graph(5), 2, 3), "neither v nor a pendant"),
         (lambda: operation_i(path_graph(4), 0, 2), "not an edge"),
         (lambda: operation_i(star_graph(4), 0, 1), "needs degree >= 2"),
+        (lambda: operation_i(path_graph(4), True, 0), "u=True is not a vertex"),
         (lambda: operation_ii(TWO_TRIANGLES_BRIDGED, (2, 6)), ">= 3 vertices"),
         (lambda: operation_ii(TWO_TRIANGLES_BRIDGED, (2, 6, 6)), "repeats"),
         (lambda: operation_ii(TWO_TRIANGLES_BRIDGED, (0, 2, 6, 3)), "needs exactly 2"),
@@ -118,6 +119,15 @@ def test_apply_rewrite_requires_fields():
         apply_rewrite(path_graph(4), RewriteSpec(kind="I"))
     with pytest.raises(RewriteError, match="unknown rewrite kind"):
         apply_rewrite(path_graph(4), RewriteSpec(kind="V"))
+
+
+def test_apply_rewrite_rejects_fields_its_kind_does_not_take():
+    g = path_graph(5)
+    with pytest.raises(RewriteError) as exc:
+        apply_rewrite(g, RewriteSpec(kind="IV", u=1, v=3, root=2))
+    assert str(exc.value) == "operation IV does not take 'root'"
+    with pytest.raises(RewriteError, match="operation II does not take 'u'"):
+        apply_rewrite(g, RewriteSpec(kind="II", path=(0, 1, 2), u=0))
 
 
 def test_find_applicable_rejects_unknown_kind():

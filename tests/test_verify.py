@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from zagreb import (
     cyclomatic_number,
     graph6_decode,
     is_connected,
+    make_graph,
     path_graph,
     random_connected_graph,
     s_n_k4,
@@ -208,3 +210,17 @@ def test_random_connected_graph_is_seeded_and_connected():
         assert 4 <= g.n <= 12
         assert is_connected(g)
         assert 0 <= cyclomatic_number(g) <= 3
+
+
+def test_prufer_decoding_is_a_bijection_onto_labeled_trees():
+    # Cayley: the n^(n-2) sequences give n^(n-2) distinct spanning trees
+    assert verify_mod._prufer_edges(1, []) == []
+    for n in range(2, 8):
+        trees = set()
+        for seq in product(range(n), repeat=n - 2):
+            edges = verify_mod._prufer_edges(n, seq)
+            assert all(0 <= a < b < n for a, b in edges), (n, seq)
+            g = make_graph(n, edges)
+            assert g.m == n - 1 and is_connected(g), (n, seq)
+            trees.add(g.edges)
+        assert len(trees) == n ** (n - 2)
