@@ -124,15 +124,18 @@ def _kept(g: Graph, drop, skip=()) -> tuple[dict[int, int], list[tuple[int, int]
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph on n >= 1 vertices from an iterable of pairs.
 
-    Rejects out-of-range endpoints, loops and duplicate edges, naming the
-    offending pair.
+    Rejects entries that are not pairs, non-integer or out-of-range
+    endpoints, loops and duplicate edges, naming the offending entry.
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"need at least one vertex, got n={n!r}")
     adj: list[set[int]] = [set() for _ in range(n)]
     es: list[tuple[int, int]] = []
     for pair in edges:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {pair!r} is not a pair of vertices") from None
         if type(u) is not int or type(v) is not int:
             raise GraphError(f"non-integer endpoint in edge {pair!r}")
         if u < 0 or u >= n or v < 0 or v >= n:

@@ -252,64 +252,27 @@ def _sites_i(g: Graph) -> list[RewriteSpec]:
     return out
 
 
-def _walk_chain(adj, start: int, first: int):
-    # follow degree-2 vertices from start towards first; returns the interior
-    # run plus the flanking vertex, which is start itself when the walk
-    # closes a cycle of degree-2 vertices
-    prev, cur, run = start, first, []
-    while cur != start and len(adj[cur]) == 2:
-        run.append(cur)
-        prev, cur = cur, next(x for x in adj[cur] if x != prev)
-    run.append(cur)
-    return run
-
-
 def _sites_ii(g: Graph) -> list[RewriteSpec]:
+    # walk out from each vertex a of degree >= 3 through each neighbor along
+    # degree-2 vertices to the first vertex b of another degree; each path is
+    # kept once, from its lower end, and a cycle back to a (b == a) is dropped
     adj = g._adj
     out = []
-    used = set()
-    for w in range(g.n):
-        if len(adj[w]) != 2 or w in used:
+    for a in range(g.n):
+        if len(adj[a]) < 3:
             continue
-        left_first, right_first = sorted(adj[w])
-        left = _walk_chain(adj, w, left_first)
-        if left[-1] == w:
-            # a cycle component of degree-2 vertices: mark it all consumed
-            used.update(left)
-            continue
-        right = _walk_chain(adj, w, right_first)
-        a, b = left[-1], right[-1]
-        interior = list(reversed(left[:-1])) + [w] + right[:-1]
-        used.update(interior)
-        if a == b:
-            continue
-        if len(adj[a]) < 3 or len(adj[b]) < 3 or b in adj[a]:
-            continue
-        path = [a] + interior + [b]
-        off_a = adj[a] - {path[1]}
-        off_b = adj[b] - {path[-2]}
-        if off_a & off_b:
-            continue
-        if a > b:
-            path.reverse()
-        out.append(RewriteSpec(kind="II", path=tuple(path)))
+        for x in adj[a]:
+            path, prev, b = [a], a, x
+            while len(adj[b]) == 2:
+                path.append(b)
+                y, z = adj[b]
+                prev, b = b, z if y == prev else y
+            if len(path) < 2 or b <= a or len(adj[b]) < 3 or b in adj[a]:
+                continue
+            if (adj[a] - {x}).isdisjoint(adj[b] - {prev}):
+                out.append(RewriteSpec(kind="II", path=(*path, b)))
     out.sort(key=lambda s: s.path)
     return out
-
-
-def _hanging_trees(adj, root: int) -> list[tuple[int, ...]]:
-    # components of g minus root that are trees tied to root by exactly one edge
-    rest = set(range(len(adj))) - {root}
-    comps = []
-    while rest:
-        comp = _reach(adj, rest.pop(), rest)
-        rest -= comp
-        inner = sum(len(adj[x] & comp) for x in comp) // 2
-        ties = len(adj[root] & comp)
-        if inner == len(comp) - 1 and ties == 1:
-            comps.append(tuple(sorted(comp)))
-    comps.sort()
-    return comps
 
 
 def _sites_iii(g: Graph) -> list[RewriteSpec]:
@@ -318,24 +281,29 @@ def _sites_iii(g: Graph) -> list[RewriteSpec]:
         return []  # a tree hanging at root has a leaf besides root: a pendant
     out = []
     for root in range(g.n):
-        deg_r = len(adj[root])
-        if deg_r < 3:
+        nb = adj[root]
+        if len(nb) < 3:
             continue  # one edge feeds the subtree, two must stay outside
-        comps = _hanging_trees(adj, root)
+        # the parts of g - root that root's own edges reach; a part is
+        # connected and holds a neighbor, so its degree sum 2*inner + ties
+        # is 2*|part| - 1 exactly when it is a tree tied to root by one edge
+        rest = set(range(g.n)) - {root}
+        comps = []
+        for x in nb:
+            if x in rest:
+                part = _reach(adj, x, rest)
+                rest -= part
+                if sum(len(adj[w]) for w in part) == 2 * len(part) - 1:
+                    comps.append(tuple(sorted(part)))
+        comps.sort()
         k = len(comps)
         for pick in range(1, 1 << k):
             chosen = [comps[i] for i in range(k) if pick >> i & 1]
-            if deg_r - len(chosen) < 2:
+            if len(nb) - len(chosen) < 2:
                 continue
-            s = sorted(x for comp in chosen for x in comp)
-            sset = set(s)
-            for y in sorted(adj[root]):
-                if y not in sset:
-                    out.append(
-                        RewriteSpec(
-                            kind="III", root=root, subtree=tuple(s), reattach=y
-                        )
-                    )
+            s = tuple(sorted(x for comp in chosen for x in comp))
+            for y in sorted(nb.difference(s)):
+                out.append(RewriteSpec(kind="III", root=root, subtree=s, reattach=y))
     return out
 
 

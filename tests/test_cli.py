@@ -209,6 +209,10 @@ def test_transform_inapplicable_site_exits_2(capsys):
     code, _, err = run(capsys, "transform", "C~", "--op", "I", "--u", "0", "--v", "1")
     assert code == 2
     assert err.startswith("error: operation I:")
+    # an edge plus an isolated vertex
+    code, out, err = run(capsys, "transform", "B_", "--op", "IV", "--u", "2", "--v", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: operation IV: v=0 has no non-pendant neighbor\n"
 
 
 def test_transform_rejects_fields_the_operation_does_not_take(capsys):
@@ -228,6 +232,20 @@ def test_families_range(capsys):
     code, out, _ = run(capsys, "families", "--family", "snm", "--n", "5..7", "--m", "n+2")
     assert code == 0
     assert out.splitlines() == [graph6_encode(s_n_m(n, n + 2)) for n in (5, 6, 7)]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["--family", "star", "--n", "4..6"], ["Cs", "Ds_", "Esa?"]),
+        (["--family", "snm", "--n", "5", "--m", "n"], ["D{_"]),
+        (["--family", "snm", "--n", "5", "--m", "7"], ["D}o"]),
+    ],
+)
+def test_families_named_and_fixed_edge_counts(capsys, argv, lines):
+    code, out, _ = run(capsys, "families", *argv)
+    assert code == 0
+    assert out.splitlines() == lines
 
 
 def test_families_flag_validation(capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from zagreb import (
+    Graph,
     GraphError,
     brace,
     cyclomatic_number,
@@ -39,12 +40,25 @@ def test_make_graph_normalizes_and_orders():
         (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
         (3, [("a", 1)], "non-integer endpoint"),
         (True, [], "need at least one vertex, got n=True"),
+        (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
+        (3, [(0,)], "edge (0,) is not a pair of vertices"),
+        (3, [5], "edge 5 is not a pair of vertices"),
     ],
 )
 def test_make_graph_rejects(n, edges, fragment):
     with pytest.raises(GraphError) as exc:
         make_graph(n, edges)
     assert fragment in str(exc.value)
+
+
+def test_public_constructor_matches_make_graph():
+    g = Graph(3, [(1, 0)])
+    assert g == make_graph(3, [(0, 1)])
+    assert hash(g) == hash(make_graph(3, [(0, 1)]))
+    assert repr(g) == "Graph(n=3, m=1)"
+    assert (g == "x") is False
+    with pytest.raises(GraphError, match=r"edge \(0, 1, 2\) is not a pair of vertices"):
+        Graph(3, [(0, 1, 2)])
 
 
 def test_graph_is_immutable():

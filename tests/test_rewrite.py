@@ -12,6 +12,7 @@ from zagreb import (
     cyclomatic_number,
     em1,
     find_applicable,
+    graph6_decode,
     graph6_encode,
     is_connected,
     make_graph,
@@ -23,7 +24,7 @@ from zagreb import (
     random_connected_graph,
     star_graph,
 )
-from util import bf_connected_all_m, naive_em1, relabeled
+from util import all_pairs, bf_connected_all_m, naive_em1, relabeled
 
 TRIANGLE_PENDANT = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 TWO_TRIANGLES_BRIDGED = make_graph(
@@ -100,12 +101,17 @@ def test_operation_iv_moves_pendants_across():
         (lambda: operation_iii(TRIANGLE_PENDANT, 0, (1,), 2), "touches"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 0, (3,), 3), "inside the subtree"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 1, (3,), 2), "touches 0 outside"),
+        # a claw plus a separate triangle: the edge count fits, the reach does not
+        (lambda: operation_iii(graph6_decode("Fs?GW"), 0, (3, 4, 5, 6), 1),
+         "subtree plus root must induce a tree"),
         (lambda: operation_iv(path_graph(5), 1, 2), "must not be adjacent"),
         (lambda: operation_iv(path_graph(4), 1, 3), "no pendants to move"),
         (lambda: operation_iv(path_graph(5), 2, 2), "must differ"),
         (lambda: operation_iv(path_graph(5), 1, 4), "are not neighbors"),
         (lambda: operation_iv(make_graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3)]),
                               2, 0), "only swap the two vertices"),
+        # an edge plus an isolated vertex
+        (lambda: operation_iv(graph6_decode("B_"), 2, 0), "v=0 has no non-pendant neighbor"),
     ],
 )
 def test_preconditions(op, fragment):
@@ -279,9 +285,14 @@ def _spec_key(spec):
     [("I", _bf_sites_i), ("II", _bf_sites_ii), ("III", _bf_sites_iii), ("IV", _bf_sites_iv)],
 )
 def test_find_applicable_matches_brute_force(kind, bf):
-    for g in bf_connected_all_m(5):
-        got = {_spec_key(s) for s in find_applicable(g, kind)}
-        assert got == bf(g), g.edges
+    # every labeled graph with n <= 5, connected or not (1,099 in all):
+    # find_applicable is public and transform takes any graph6
+    for n in range(1, 6):
+        pairs = all_pairs(n)
+        for chosen in range(1 << len(pairs)):
+            g = make_graph(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+            got = {_spec_key(s) for s in find_applicable(g, kind)}
+            assert got == bf(g), (n, g.edges)
 
 
 def test_find_applicable_matches_brute_force_sampled_n6():

@@ -115,6 +115,19 @@ def test_theorem_failure_embeds_counterexamples(monkeypatch):
             assert naive_em1(g) == cex["observed"] != cex["expected"]
 
 
+def test_theorem_floor_failure_embeds_its_counterexample(monkeypatch):
+    # doctor the claims table: theorem-5's maximum stands in as theorem-4's floor
+    bogus = dict(verify_mod._THEOREMS)
+    bogus["theorem-4"] = {**bogus["theorem-4"], "floor": "snm3"}
+    monkeypatch.setattr(verify_mod, "_THEOREMS", bogus)
+    rep = verify_theorem("theorem-4", ns=[5])
+    assert not rep.passed
+    assert rep.counterexamples == (
+        {"n": 5, "check": "min floor", "bound": 132, "observed": 98, "graphs": ["Dr["]},
+    )
+    assert rep.rows[0]["attained"] is False
+
+
 def test_theorem_orders_validated_before_any_scan(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a scan ran before every order was validated")
