@@ -15,8 +15,9 @@ frame yields nothing; if it does, only the edges joining the two sides
 complete a connected graph.
 
 Each connected subset is handed on as its edge mask, and nothing more.
-scan_extremal scores a mask through the Graph API, as
-indices.INDEX_FUNCS[index](graph_of_mask(n, mask)).
+scan_extremal scores a mask from its edge list, with no Graph built, as
+indices.INDEX_FUNCS[index](degrees(n, edges), edges) over the edges of
+graph6.mask_edges(n, mask).
 
 This is the package's one enumeration kernel.  Callers reach it through
 _kernel, and the test suite checks its walk, slices and scans against
@@ -26,7 +27,7 @@ brute force on every n <= 6.
 from __future__ import annotations
 
 from . import indices
-from .graph6 import edge_table, graph_of_mask
+from .graph6 import edge_table, mask_edges
 
 
 def visit_connected(n: int, m: int, lo: int, hi: int | None, callback) -> int:
@@ -116,7 +117,8 @@ def scan_extremal(n: int, m: int, index: str):
 
     def score(mask: int) -> None:
         nonlocal lo, hi
-        val = value(graph_of_mask(n, mask))
+        edges = mask_edges(n, mask)
+        val = value(indices.degrees(n, edges), edges)
         if lo is None or val < lo:
             lo = val
             min_masks.clear()

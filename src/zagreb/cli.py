@@ -17,8 +17,8 @@ import sys
 from .enumeration import HARD_CAP, EnumSpec, brace_census, extremal_scan
 from .families import CONSTRUCTORS, s_n_m
 from .graph import GraphError
-from .graph6 import Graph6Error, graph6_decode, graph6_encode
-from .indices import INDEX_IDS, compute_index
+from .graph6 import Graph6Error, decode_mask, graph6_decode, graph6_encode, mask_edges
+from .indices import INDEX_FUNCS, INDEX_IDS, degrees
 from .rewrite import KINDS, RewriteSpec, apply_rewrite
 from .verify import LEMMA_CLAIMS, THEOREM_CLAIMS, verify_lemma, verify_theorem
 
@@ -96,11 +96,14 @@ def _cmd_compute(args) -> int:
         if not text:
             continue
         try:
-            g = graph6_decode(text)
+            n, mask = decode_mask(text)
         except Graph6Error as exc:
             raise Graph6Error(f"line {i}: {exc}") from None
+        # the formulas read a degree list and an edge list: no Graph is built
+        edges = mask_edges(n, mask)
+        deg = degrees(n, edges)
         for ident in wanted:
-            rows.append((text, ident, compute_index(g, ident)))
+            rows.append((text, ident, INDEX_FUNCS[ident](deg, edges)))
     with _out_stream(args.out) as fh:
         if args.format == "json":
             doc = {

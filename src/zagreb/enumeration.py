@@ -63,8 +63,8 @@ from . import _kernel
 # that imports them
 from .canon import _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
-from .graph6 import edge_table, encode_mask, graph_of_mask, mask_rows
-from .indices import INDEX_IDS, compute_index
+from .graph6 import edge_table, encode_mask, graph_of_mask, mask_edges, mask_rows
+from .indices import INDEX_FUNCS, INDEX_IDS, degrees
 
 HARD_CAP = 9
 TRICYCLIC_CAP = 8
@@ -164,7 +164,11 @@ def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
     # an EnumSpec admits only n-1 <= m <= C(n,2), so there is a class
     classes = connected_classes(n, m)
     order = math.factorial(n)
-    values = {mask: compute_index(graph_of_mask(n, mask), index) for mask in classes}
+    score = INDEX_FUNCS[index]
+    values = {}
+    for mask in classes:
+        edges = mask_edges(n, mask)
+        values[mask] = score(degrees(n, edges), edges)
     mn, mx = min(values.values()), max(values.values())
     mn_masks = [k for k, v in values.items() if v == mn]
     mx_masks = [k for k, v in values.items() if v == mx]
@@ -205,7 +209,7 @@ def _labeled_members(n: int, masks) -> list[int]:
         bit[u][v] = bit[v][u] = 1 << k
     members = set()
     for mask in masks:
-        edges = graph_of_mask(n, mask).edges
+        edges = mask_edges(n, mask)
         for p in permutations(range(n)):
             members.add(sum([bit[p[u]][p[v]] for u, v in edges]))
     width = n * (n - 1) // 2
@@ -446,5 +450,5 @@ def brace_census(spec: EnumSpec) -> tuple[str, ...]:
     return tuple(sorted(
         encode_mask(n, mask)
         for mask in connected_classes(n, spec.m)
-        if min(map(len, mask_rows(n, mask))) >= 2
+        if min(degrees(n, mask_edges(n, mask))) >= 2
     ))

@@ -8,10 +8,12 @@ v*(v-1)/2 + u, and bit k of an integer mask stands for edge k.  The
 enumeration kernel and this codec therefore share one bit layout.
 
 Column v of a mask is its next run of v bits; their set bits are the
-lower neighbours of v.  mask_rows(), the package's one mask walk, finds
+lower neighbours of v.  mask_edges(), the package's one mask walk, finds
 the set bits once, with no table of pairs and no sort, and hands on the
-neighbour lists; graph_of_mask(), the one mask -> Graph builder, adds
-the edge tuple, and the canonical search reads the lists directly.
+edges in index order.  The index formulas score those edges directly;
+mask_rows() turns them into neighbour lists, which the canonical search
+reads, and graph_of_mask(), the one mask -> Graph builder, adds the
+lexicographic edge tuple to them.
 """
 
 from __future__ import annotations
@@ -50,30 +52,41 @@ def edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def mask_rows(n: int, mask: int) -> list[list[int]]:
-    """Neighbour lists of the n-vertex graph whose edge k is bit k of mask.
+def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, of the n-vertex graph whose edge k is bit k of mask.
 
     The set bits are found in ascending index order by str.rfind on the
     binary string, and a column pointer advances with them, so the walk
-    is linear in the mask's length.  Each row comes out ascending: its
-    lower neighbours from its own column, then its higher ones from
-    later columns.
+    is linear in the mask's length and the edges come out in index
+    (column) order.
     """
-    rows: list[list[int]] = [[] for _ in range(n)]
-    bits = bin(mask)
-    top = len(bits) - 1  # bit k of mask is bits[top - k]
-    v = first = nxt = 0  # column v holds the indices first .. nxt - 1
+    edges: list[tuple[int, int]] = []
+    bits = bin(mask)  # bit k of mask is bits[len(bits) - 1 - k]
+    # column v is bits[lim + 1 .. base], and bits[base - u] is edge (u, v)
+    v = 0
+    base = lim = len(bits) - 1
     at = bits.rfind("1", 2)
     while at > 1:
-        k = top - at
-        while k >= nxt:
+        while at <= lim:
             v += 1
-            first = nxt
-            nxt += v
-        u = k - first
+            base = lim
+            lim -= v
+        edges.append((base - at, v))
+        at = bits.rfind("1", 2, at)
+    return edges
+
+
+def mask_rows(n: int, mask: int) -> list[list[int]]:
+    """Neighbour lists of the n-vertex graph whose edge k is bit k of mask.
+
+    Each row comes out ascending: the edges arrive column by column, so
+    a row gets its lower neighbours from its own column, then its higher
+    ones from later columns.
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in mask_edges(n, mask):
         rows[v].append(u)
         rows[u].append(v)
-        at = bits.rfind("1", 2, at)
     return rows
 
 

@@ -6,9 +6,11 @@ an edge uv is deg(u) + deg(v) - 2.  Equivalently, em1 and em2 are m1 and
 m2 of the line graph; the test suite holds the package to that identity.
 
 This module is the package's one definition of each index, written as a
-function of a Graph that reads its degrees from the adjacency rows and
-walks its edge list.  Every caller, the enumeration kernel's scans
-included, scores a Graph through them.
+function of a degree list and an edge list in any order: INDEX_FUNCS
+maps each id to it.  Callers that hold only an adjacency mask score the
+edges of graph6.mask_edges() with the degrees() of that list and build
+no Graph; m1()..em2() and compute_index() score a Graph from its
+adjacency rows and edge tuple.
 """
 
 from __future__ import annotations
@@ -16,32 +18,69 @@ from __future__ import annotations
 from .graph import Graph, GraphError
 
 
-def m1(g: Graph) -> int:
-    """First Zagreb index: sum of squared vertex degrees."""
-    deg = list(map(len, g._adj))
+def degrees(n: int, edges) -> list[int]:
+    """Vertex degrees of the n-vertex graph with the given edge list."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _m1(deg, edges) -> int:
     t = 0
     for d in deg:
         t += d * d
     return t
 
 
-def m2(g: Graph) -> int:
-    """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
-    deg = list(map(len, g._adj))
+def _m2(deg, edges) -> int:
     t = 0
-    for u, v in g._edges:
+    for u, v in edges:
         t += deg[u] * deg[v]
     return t
 
 
-def em1(g: Graph) -> int:
-    """First reformulated Zagreb index: sum of squared edge degrees."""
-    deg = list(map(len, g._adj))
+def _em1(deg, edges) -> int:
     t = 0
-    for u, v in g._edges:
+    for u, v in edges:
         ed = deg[u] + deg[v] - 2
         t += ed * ed
     return t
+
+
+def _em2(deg, edges) -> int:
+    # Two distinct edges of a simple graph share at most one endpoint, so
+    # with s(v) the sum of the degrees of the edges at v, s(v)^2 is their
+    # squares plus twice the pairs at v: sum(s(v)^2) = 2*em1 + 2*em2.
+    s = [0] * len(deg)
+    squares = 0
+    for u, v in edges:
+        ed = deg[u] + deg[v] - 2
+        s[u] += ed
+        s[v] += ed
+        squares += ed * ed
+    return sum([x * x for x in s]) // 2 - squares
+
+
+# perfbench/tracer.py wraps each entry; callers look them up at call time
+INDEX_FUNCS = {"m1": _m1, "m2": _m2, "em1": _em1, "em2": _em2}
+INDEX_IDS = tuple(INDEX_FUNCS)
+
+
+def m1(g: Graph) -> int:
+    """First Zagreb index: sum of squared vertex degrees."""
+    return _m1(list(map(len, g._adj)), g._edges)
+
+
+def m2(g: Graph) -> int:
+    """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
+    return _m2(list(map(len, g._adj)), g._edges)
+
+
+def em1(g: Graph) -> int:
+    """First reformulated Zagreb index: sum of squared edge degrees."""
+    return _em1(list(map(len, g._adj)), g._edges)
 
 
 def em2(g: Graph) -> int:
@@ -50,22 +89,7 @@ def em2(g: Graph) -> int:
     Sum of deg(e)*deg(f) over unordered pairs of distinct adjacent edges,
     each pair counted once.
     """
-    # Two distinct edges of a simple graph share at most one endpoint, so
-    # with s(v) the sum of the degrees of the edges at v, s(v)^2 is their
-    # squares plus twice the pairs at v: sum(s(v)^2) = 2*em1 + 2*em2.
-    deg = list(map(len, g._adj))
-    s = [0] * len(deg)
-    squares = 0
-    for u, v in g._edges:
-        ed = deg[u] + deg[v] - 2
-        s[u] += ed
-        s[v] += ed
-        squares += ed * ed
-    return sum([x * x for x in s]) // 2 - squares
-
-
-INDEX_FUNCS = {"m1": m1, "m2": m2, "em1": em1, "em2": em2}
-INDEX_IDS = tuple(INDEX_FUNCS)
+    return _em2(list(map(len, g._adj)), g._edges)
 
 
 def compute_index(g: Graph, index: str) -> int:
@@ -74,4 +98,4 @@ def compute_index(g: Graph, index: str) -> int:
         fn = INDEX_FUNCS[index]
     except KeyError:
         raise GraphError(f"unknown index {index!r}, expected one of {INDEX_IDS}") from None
-    return fn(g)
+    return fn(list(map(len, g._adj)), g._edges)

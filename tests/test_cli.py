@@ -21,6 +21,9 @@ from zagreb import (
     s_n_m,
 )
 from zagreb.cli import cli_main
+from zagreb.graph6 import graph6_decode
+from zagreb.indices import INDEX_IDS, compute_index
+from test_indices import compute_sized_graphs
 
 TWO_TRIANGLES_BRIDGED = make_graph(
     7, [(0, 1), (0, 2), (1, 2), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)]
@@ -96,6 +99,30 @@ def test_compute_reads_crlf_like_lf(tmp_path, capsys):
         assert code == 0 and err == ""
         outs.append(out)
     assert outs[0] == outs[1] and outs[0].count("\n") == 13
+
+
+def test_compute_prints_what_the_graph_path_gives(tmp_path, capsys):
+    # every row must equal graph6_decode + compute_index on its line
+    lines = ["@", ""] + [graph6_encode(g) for g in compute_sized_graphs()]
+    lines[7] += "\r"
+    lines[40:40] = ["", " \t"]
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(("\n".join(lines) + "\n").encode())
+    texts = [t for t in (line.strip(" \t\r") for line in lines) if t]
+    assert len(texts) == 81
+    for index, wanted in (("all", INDEX_IDS), ("em2", ("em2",))):
+        rows = [
+            (text, ident, compute_index(graph6_decode(text), ident))
+            for text in texts
+            for ident in wanted
+        ]
+        code, out, err = run(capsys, "compute", str(src), "--index", index)
+        assert (code, err) == (0, "")
+        assert out == "graph6,index,value\n" + "".join(f"{t},{i},{v}\n" for t, i, v in rows)
+        code, out, err = run(capsys, "compute", str(src), "--index", index, "--format", "json")
+        doc = {"schema": 1, "rows": [{"graph6": t, "index": i, "value": v} for t, i, v in rows]}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _compute_stdin(data: bytes):

@@ -20,9 +20,12 @@ from zagreb.graph6 import (
     edge_table,
     encode_mask,
     graph_of_mask,
+    mask_edges,
     mask_rows,
 )
+from zagreb.indices import INDEX_FUNCS, compute_index, degrees
 from util import all_pairs, bf_connected_all_m, random_graph
+from test_enumeration import NAIVE
 
 K4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -148,10 +151,10 @@ def test_oversized_graph_fails_before_its_mask_is_built():
         graph6_encode(_OversizedGraph())
 
 
-def _slow_graph(n, mask):
-    # independent reference: table lookup of each set bit, validated build
+def _table_pairs(n, mask):
+    # independent reference: table lookup of each set bit, in index order
     table = edge_table(n)
-    return make_graph(n, [table[k] for k in range(len(table)) if mask >> k & 1])
+    return [table[k] for k in range(len(table)) if mask >> k & 1]
 
 
 def _builder_cases():
@@ -169,9 +172,18 @@ def _builder_cases():
 
 def test_mask_builder_matches_table_lookup():
     for n, mask in _builder_cases():
-        ref = _slow_graph(n, mask)
-        # the one mask walk hands on ascending rows
+        pairs = _table_pairs(n, mask)
+        ref = make_graph(n, pairs)  # a validated build
+        # the one mask walk hands on the set bits' pairs in index order
+        edges = mask_edges(n, mask)
+        assert edges == pairs, (n, mask)
         assert mask_rows(n, mask) == [sorted(ref.neighbors(v)) for v in range(n)]
+        # each index scored from the mask, as compute scores a line; naive
+        # em2 pairs up the edges, too slow for the thousands of a dense mask
+        deg = degrees(n, edges)
+        for ident, fn in INDEX_FUNCS.items():
+            want = NAIVE[ident](ref) if len(edges) < 1000 else compute_index(ref, ident)
+            assert fn(deg, edges) == want, (n, mask, ident)
         for g in (graph_of_mask(n, mask), graph6_decode(encode_mask(n, mask))):
             # Graph.__eq__ compares n and edges only; check the adjacency too
             assert g.n == ref.n and g.edges == ref.edges, (n, mask)

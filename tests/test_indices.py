@@ -90,7 +90,7 @@ def test_index_is_relabeling_invariant():
             assert compute_index(g, ident) == compute_index(h, ident)
 
 
-def _compute_sized_graphs():
+def compute_sized_graphs():
     # sparse graphs up to n = 40 and dense ones, as `zagreb compute` sees
     rng = random.Random(4040)
     for _ in range(60):
@@ -104,7 +104,7 @@ def _compute_sized_graphs():
 
 
 def test_indices_at_compute_sizes():
-    for g in _compute_sized_graphs():
+    for g in compute_sized_graphs():
         assert m1(g) == naive_m1(g)
         assert m2(g) == naive_m2(g)
         lg = line_graph(g)
