@@ -1,12 +1,15 @@
 """The four degree-shifting rewrites.
 
 Each operation validates its arguments as vertices, then checks its site
-by reading the adjacency sets directly, and returns a fresh graph, built
-once, with the first reformulated index before and after and a map from
-old labels to new ones for the vertices that survive: II (a fusion plus
-pendants) and III take those labels from graph._kept, and III checks its
-subtree's connectivity with graph._reach.  Operations I, II and IV push
-that index strictly up; operation III pulls it strictly down.
+by reading the adjacency sets directly, and returns a RewriteResult: the
+rewritten edge list, the first reformulated index of that list, and a
+map from old labels to new ones for the vertices that survive: II (a
+fusion plus pendants) and III take those labels from graph._kept, and
+III checks its subtree's connectivity with graph._reach.  The result
+builds its graph and the index of the input (em1_before) only on first
+read, so a caller that reads em1_after alone, as the lemma sweep does,
+builds no Graph.  Operations I, II and IV push that index strictly up;
+operation III pulls it strictly down.
 find_applicable lists every valid site, reading the adjacency the same
 way, so property sweeps can cover whole corpora.  Callers need no
 prefilter: a finder returns [] on a graph without the pendant (I, III,
@@ -29,9 +32,11 @@ only swap the two vertices, leaving the index unchanged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import countOf
 
 from .graph import Graph, GraphError, _from_edges, _kept, _reach
-from .indices import em1
+from .indices import INDEX_FUNCS, degrees, em1
 
 class RewriteError(GraphError):
     """A rewrite was requested at a site that violates its preconditions."""
@@ -60,16 +65,39 @@ class RewriteSpec:
 
 @dataclass(frozen=True)
 class RewriteResult:
-    graph: Graph
-    em1_before: int
-    em1_after: int
+    """One rewrite of source: its edge list (pairs u < v, unsorted) on
+    source.n vertices, em1 of that list, and the labels of the survivors.
+
+    graph and em1_before are computed on first read and kept.
+    """
+
+    source: Graph
+    edges: list[tuple[int, int]]
     relabel: dict[int, int]
+    em1_after: int
+
+    @cached_property
+    def graph(self) -> Graph:
+        return _from_edges(self.source.n, self.edges)
+
+    @cached_property
+    def em1_before(self) -> int:
+        return em1(self.source)
 
 
 def _vertex(g: Graph, x, role: str) -> int:
     if type(x) is not int or not 0 <= x < g.n:
         raise RewriteError(f"{role}={x!r} is not a vertex of an n={g.n} graph")
     return x
+
+
+def _sequence(xs, op: str, field: str) -> tuple:
+    try:
+        return tuple(xs)
+    except TypeError:
+        raise RewriteError(
+            f"operation {op}: {field}={xs!r} is not a sequence of vertices"
+        ) from None
 
 
 def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
@@ -96,8 +124,9 @@ def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
 
 
 def _rewritten(g: Graph, edges, relabel: dict[int, int]) -> RewriteResult:
-    after = _from_edges(g.n, edges)
-    return RewriteResult(after, em1(g), em1(after), relabel)
+    # every operation keeps n; the edge list is scored without a Graph
+    after = INDEX_FUNCS["em1"](degrees(g.n, edges), edges)
+    return RewriteResult(g, edges, relabel, after)
 
 
 def _move_pendants(g: Graph, pendants, target: int) -> RewriteResult:
@@ -115,7 +144,7 @@ def operation_ii(g: Graph, path) -> RewriteResult:
     the former interior vertices plus one fresh vertex as pendants, so n
     and m are both preserved.
     """
-    p = tuple(path)
+    p = _sequence(path, "II", "path")
     if len(p) < 3:
         raise RewriteError(f"operation II: path needs >= 3 vertices, got {len(p)}")
     for x in p:
@@ -164,9 +193,12 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     reattach, preserving n and m.
     """
     _vertex(g, root, "root")
-    s = set(subtree)
-    for x in s:
+    sub = _sequence(subtree, "III", "subtree")
+    for x in sub:
         _vertex(g, x, "subtree vertex")
+    s = set(sub)
+    if len(s) != len(sub):
+        raise RewriteError("operation III: subtree repeats a vertex")
     if not s:
         raise RewriteError("operation III: subtree is empty")
     if root in s:
@@ -344,13 +376,17 @@ def _operation(kind):
 def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
     """Dispatch one RewriteSpec against its operation."""
     op, fields, _ = _operation(spec.kind)
-    args = [getattr(spec, f) for f in fields]
-    for f, val in zip(fields, args):
-        if val is None:
-            raise RewriteError(f"operation {spec.kind} needs {f!r}")
-    for f, val in vars(spec).items():
-        if val is not None and f != "kind" and f not in fields:
-            raise RewriteError(f"operation {spec.kind} does not take {f!r}")
+    given = vars(spec)
+    args = [given[f] for f in fields]
+    # valid: every field taken is set and every other one but kind is None;
+    # the offending name is searched for only when that count is off
+    if None in args or countOf(given.values(), None) != len(given) - 1 - len(fields):
+        for f in fields:
+            if given[f] is None:
+                raise RewriteError(f"operation {spec.kind} needs {f!r}")
+        for f, val in given.items():
+            if val is not None and f != "kind" and f not in fields:
+                raise RewriteError(f"operation {spec.kind} does not take {f!r}")
     return op(g, *args)
 
 

@@ -8,7 +8,11 @@ classes.  Lemmas are checked by sweeping every applicable rewrite site
 over a corpus (all connected graphs up to order 7, plus seeded random
 connected graphs up to order 12) and asserting strict monotonicity;
 which graphs can hold a site is for rewrite's finders to say.  Every
-failing verdict embeds a decodable counterexample.
+site is applied through apply_rewrite with its full precondition
+checks, but the sweep reads only the result's em1_after, so it builds
+no rewritten Graph; em1 of each corpus graph is taken once, at its
+first site, and compared with every site's em1_after.  Every failing
+verdict embeds a decodable counterexample.
 
 The enumerated part of the lemma corpus is swept one isomorphism class
 at a time, each class weighted by the n!/|Aut| labeled graphs it
@@ -32,6 +36,7 @@ from .enumeration import EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
 from .graph6 import edge_table, graph6_encode, graph_of_mask
+from .indices import em1
 from .rewrite import RewriteSpec, apply_rewrite, find_applicable
 
 # claim -> cyclomatic number, the report's note, exact extremes as witness
@@ -249,6 +254,7 @@ def _lemma_pass(kinds, trials, seed, enum_max):
         # g stands for `weight` labeled graphs
         nonlocal corpus_size
         corpus_size += weight
+        before = None  # em1(g), taken once at g's first site
         for kind in kinds:
             sites = find_applicable(g, kind)
             if not sites:
@@ -256,16 +262,18 @@ def _lemma_pass(kinds, trials, seed, enum_max):
             stats[kind]["graphs_with_sites"] += weight
             stats[kind]["sites"] += weight * len(sites)
             increases = _DIRECTION[kind]
+            if before is None:
+                before = em1(g)
             for site in sites:
-                res = apply_rewrite(g, site)
-                delta = res.em1_after - res.em1_before
+                after = apply_rewrite(g, site).em1_after
+                delta = after - before
                 if (delta > 0) != increases or delta == 0:
                     stats[kind]["violations"] += weight
                     bad[kind].append({
                         "graph6": graph6_encode(g),
                         "site": site.params(),
-                        "em1_before": res.em1_before,
-                        "em1_after": res.em1_after,
+                        "em1_before": before,
+                        "em1_after": after,
                     })
 
     for n in range(1, enum_max + 1):

@@ -250,6 +250,14 @@ def test_transform_rejects_fields_the_operation_does_not_take(capsys):
     assert err == "error: operation IV does not take 'path'\n"
 
 
+def test_transform_rejects_a_repeated_subtree_vertex(capsys):
+    argv = ["transform", "C{", "--op", "III", "--root", "0", "--reattach", "2"]
+    assert run(capsys, *argv, "--subtree", "3")[0] == 0
+    code, out, err = run(capsys, *argv, "--subtree", "3,3")
+    assert (code, out) == (2, "")
+    assert err == "error: operation III: subtree repeats a vertex\n"
+
+
 def test_transform_rejects_bad_path_text(capsys):
     code, _, err = run(capsys, "transform", "C~", "--op", "II", "--path", "2,x")
     assert code == 2 and "comma-separated integers" in err

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import zagreb.rewrite as rewrite_mod
 from zagreb import (
     KINDS,
     RewriteError,
@@ -24,6 +25,8 @@ from zagreb import (
     random_connected_graph,
     star_graph,
 )
+from zagreb.enumeration import _class_levels
+from zagreb.graph6 import graph_of_mask
 from util import all_pairs, bf_connected_all_m, naive_em1, relabeled
 
 TRIANGLE_PENDANT = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -98,6 +101,12 @@ def test_operation_iv_moves_pendants_across():
                               (0, 1, 3)), ">= 2 neighbors off the path"),
         (lambda: operation_ii(TWO_TRIANGLES_BRIDGED, (2, 6, 5)), "not an edge"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 0, (), 2), "empty"),
+        (lambda: operation_iii(TRIANGLE_PENDANT, 0, (3, 3), 2), "subtree repeats a vertex"),
+        (lambda: apply_rewrite(TRIANGLE_PENDANT, RewriteSpec(
+            kind="III", root=0, subtree=3, reattach=2)),
+         "operation III: subtree=3 is not a sequence of vertices"),
+        (lambda: apply_rewrite(TWO_TRIANGLES_BRIDGED, RewriteSpec(kind="II", path=2)),
+         "operation II: path=2 is not a sequence of vertices"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 0, (1,), 2), "touches"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 0, (3,), 3), "inside the subtree"),
         (lambda: operation_iii(TRIANGLE_PENDANT, 1, (3,), 2), "touches 0 outside"),
@@ -165,6 +174,41 @@ def test_rewrites_conserve_order_size_and_connectivity():
         assert cyclomatic_number(res.graph) == cyclomatic_number(g), spec
         assert res.em1_before == naive_em1(g)
         assert res.em1_after == naive_em1(res.graph)
+
+
+def test_lazy_results_match_the_slow_path_on_every_class_up_to_7():
+    # every site of every kind on one representative of each class
+    sites = 0
+    for n in range(1, 8):
+        for _, classes in _class_levels(n):
+            for mask in classes:
+                g = graph_of_mask(n, mask)
+                for kind in KINDS:
+                    for spec in find_applicable(g, kind):
+                        res = apply_rewrite(g, spec)
+                        make_graph(g.n, res.edges)  # no loop, no duplicate
+                        assert res.em1_after == naive_em1(res.graph), (mask, spec)
+                        assert res.em1_before == naive_em1(g), (mask, spec)
+                        sites += 1
+    assert sites == 2939
+
+
+def test_result_builds_its_graph_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(n, edges):
+        calls.append(n)
+        return built(n, edges)
+
+    built = rewrite_mod._from_edges
+    monkeypatch.setattr(rewrite_mod, "_from_edges", counted)
+    res = apply_rewrite(path_graph(5), RewriteSpec(kind="IV", u=1, v=3))
+    assert (res.em1_before, res.em1_after) == (10, 18)
+    assert calls == []
+    first = res.graph
+    assert calls == [5]
+    assert res.graph is first
+    assert calls == [5]
 
 
 def test_rewrites_move_em1_the_right_way():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from itertools import product
 
 import pytest
 
+import zagreb.rewrite as rewrite_mod
 import zagreb.verify as verify_mod
 from zagreb import _kernel, enumeration
 from zagreb import (
@@ -204,6 +206,27 @@ def test_lemma_violation_path_embeds_graphs(monkeypatch):
     g = graph6_decode(cex["graph6"])
     assert naive_em1(g) == cex["em1_before"]
     assert cex["em1_after"] < cex["em1_before"]  # III really decreases
+    # the sweep writes its own em1_before; the list is pinned whole
+    blob = json.dumps(list(rep.counterexamples), sort_keys=True).encode()
+    assert len(rep.counterexamples) == 8
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c8ebfdcfa242647f4e5f49d9d45be72e05810ef3c6494a8999f9057209bbf90f"
+    )
+
+
+def test_lemma_sweep_builds_no_graph_per_site(monkeypatch):
+    calls = []
+
+    def counted(n, edges):
+        calls.append(n)
+        return built(n, edges)
+
+    built = rewrite_mod._from_edges
+    monkeypatch.setattr(rewrite_mod, "_from_edges", counted)
+    sweep = verify_mod.lemma_sweep(trials=30, enum_max=5)
+    assert all(rep.passed for rep in sweep.values())
+    assert sum(rep.rows[1]["sites"] for rep in sweep.values()) > 0
+    assert calls == []
 
 
 def test_verdict_json_shape():
