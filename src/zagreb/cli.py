@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .enumeration import HARD_CAP, EnumSpec, brace_census, extremal_scan
+from .enumeration import EnumSpec, brace_census, extremal_scan
 from .families import CONSTRUCTORS, s_n_m
 from .graph import GraphError
 from .graph6 import Graph6Error, decode_mask, graph6_decode, graph6_encode, mask_edges
@@ -207,9 +207,6 @@ def _cmd_verify(args) -> int:
             raise GraphError(f"{flag} applies to {owner} claims only, not {args.claim}")
     if kind == "theorem":
         ns = _parse_ns(args.n) if args.n is not None else None
-        if ns and ns[-1] > HARD_CAP:
-            first = max(ns[0], HARD_CAP + 1)
-            raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={first}")
         rep = verify_theorem(args.claim, ns=ns, allow_large=bool(args.allow_large))
     else:
         rep = verify_lemma(args.claim, **given)

@@ -46,8 +46,8 @@ of a class mask, deduplicated, put in the enumeration kernel's walk
 order.  Its witness lists are therefore exactly the labeled ones a walk
 of every edge subset of K_n would report, without that walk.
 
-Hard caps keep the worst case at desk scale; the one gated case (n=9 at
-c=3, about 6e8 labeled subsets) sits behind allow_large.
+Which orders may run is one table, ORDER_CAPS, read by EnumSpec alone.
+Its one gated row, n=9 at c=3, is 2075 classes to a class scan.
 """
 
 from __future__ import annotations
@@ -66,8 +66,10 @@ from .graph import GraphError, _from_edges  # noqa: F401
 from .graph6 import edge_table, encode_mask, graph_of_mask, mask_edges, mask_rows
 from .indices import INDEX_FUNCS, INDEX_IDS, degrees
 
-HARD_CAP = 9
-TRICYCLIC_CAP = 8
+# the order policy: c -> (highest n admitted freely, highest with allow_large)
+ORDER_CAPS = {0: (9, 9), 1: (9, 9), 2: (9, 9), 3: (8, 9)}
+# the highest n of the enumerated lemma corpus: n = 10 alone has 11.7M classes
+LEMMA_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -80,23 +82,33 @@ class EnumSpec:
     allow_large: bool = False
 
     def __post_init__(self):
-        if self.c not in (0, 1, 2, 3):
-            raise GraphError(f"cyclomatic number must be 0..3, got {self.c}")
-        if self.n < 1:
-            raise GraphError(f"need at least one vertex, got n={self.n}")
+        if type(self.c) is not int or self.c not in ORDER_CAPS:
+            raise GraphError(f"cyclomatic number must be 0..3, got {self.c!r}")
+        if type(self.n) is not int or self.n < 1:
+            raise GraphError(f"need at least one vertex, got n={self.n!r}")
         full = self.n * (self.n - 1) // 2
         if self.m > full:
             raise GraphError(
                 f"no connected graph has n={self.n} and c={self.c}: "
                 f"that needs m={self.m} edges but K_{self.n} has only {full}"
             )
-        if self.n > HARD_CAP:
-            raise GraphError(f"enumeration is capped at n={HARD_CAP}, got n={self.n}")
-        if self.c == 3 and self.n > TRICYCLIC_CAP and not self.allow_large:
+        self.check_cap((self.n,), self.c)
+        if self.n > ORDER_CAPS[self.c][0] and not self.allow_large:
+            # C(36,11) is the labeled walk at n=9, c=3; callers match this text
             raise GraphError(
-                f"n={self.n} at c=3 means roughly C(36,11) ~ 6e8 edge subsets; "
+                f"n={self.n} at c={self.c} means roughly C(36,11) ~ 6e8 edge subsets; "
                 f"pass allow_large=True (CLI: --allow-large) to run it anyway"
             )
+
+    @staticmethod
+    def check_cap(orders, c: int) -> None:
+        """Raise the cap error at the lowest of the ascending orders above c's cap."""
+        top = ORDER_CAPS[c][1]
+        if orders and orders[-1] > top:
+            if isinstance(orders, range):  # read by its ends and step, never walked
+                orders = orders[max(0, (top - orders[0]) // orders.step + 1):]
+            n = next(n for n in orders if n > top)
+            raise GraphError(f"enumeration is capped at n={top}, got n={n}")
 
     @property
     def m(self) -> int:

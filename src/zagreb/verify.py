@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 
 from .canon import canonical_form
-from .enumeration import EnumSpec, _class_levels, extremal_scan
+from .enumeration import LEMMA_MAX_N, EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
 from .graph import Graph, GraphError, _from_edges
 from .graph6 import edge_table, graph6_encode, graph_of_mask
@@ -109,7 +109,8 @@ class VerdictReport:
 
 
 def _expected(symbols, n: int) -> tuple[int, set[str]]:
-    # the value of the first symbol registered at n, the classes of all of them
+    # the value of the first symbol registered at n, the classes of all of them;
+    # a test holds canon's CANON_LIMIT at or above every order EnumSpec admits
     covering = [s for s in symbols if reference(s).min_n <= n]
     if not covering:
         raise GraphError(f"no registered formula among {symbols} covers n={n}")
@@ -122,19 +123,23 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
     if claim not in _THEOREMS:
         raise GraphError(f"unknown theorem claim {claim!r}, choose from {THEOREM_CLAIMS}")
     cfg = _THEOREMS[claim]
-    ns = sorted(set(range(4, 9) if ns is None else ns))
-    if not ns or ns[0] < 4:
-        raise GraphError(f"theorem checks run at n >= 4, got {ns}")
+    ns = range(4, 9) if ns is None else ns
+    # ascending orders; a range is checked from its ends, never walked
+    orders = (ns if ns.step > 0 else ns[::-1]) if isinstance(ns, range) else sorted(set(ns))
+    EnumSpec.check_cap(orders, cfg["c"])
+    if not orders or orders[0] < 4:
+        got = f"n={orders[0]}" if orders else "[]"
+        raise GraphError(f"theorem checks run at n >= 4, got {got}")
     symbols = [*cfg.get("min", ()), *cfg.get("max", ())]
     if "floor" in cfg:
         symbols.append(cfg["floor"])
     sources = {s: reference(s).provenance for s in symbols}
     # every order is validated before the first scan starts
-    specs = [EnumSpec(n=n, c=cfg["c"], allow_large=allow_large) for n in ns]
+    specs = [EnumSpec(n=n, c=cfg["c"], allow_large=allow_large) for n in orders]
     t0 = time.perf_counter()
     rows = []
     cex = []
-    for n, spec in zip(ns, specs):
+    for n, spec in zip(orders, specs):
         rep = extremal_scan(spec, "em1")
         row = {
             "n": n,
@@ -185,7 +190,7 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
     return VerdictReport(
         claim=claim,
         passed=not cex,
-        params={"ns": ns, "c": cfg["c"], "index": "em1", "references": sources},
+        params={"ns": list(orders), "c": cfg["c"], "index": "em1", "references": sources},
         rows=tuple(rows),
         counterexamples=tuple(cex),
         notes=(cfg["note"],),
@@ -246,6 +251,8 @@ def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
 def _lemma_pass(kinds, trials, seed, enum_max):
     if trials < 0:
         raise GraphError(f"trials must be >= 0, got {trials}")
+    if type(enum_max) is not int or not 0 <= enum_max <= LEMMA_MAX_N:
+        raise GraphError(f"enum_max must be 0..{LEMMA_MAX_N}, got {enum_max!r}")
     stats = {k: {"sites": 0, "graphs_with_sites": 0, "violations": 0} for k in kinds}
     bad = {k: [] for k in kinds}
     corpus_size = 0

@@ -14,11 +14,13 @@ import zagreb.cli as cli_mod
 from zagreb import enumeration
 from zagreb import (
     EnumSpec,
+    GraphError,
     VerdictReport,
     extremal_scan,
     graph6_encode,
     make_graph,
     s_n_m,
+    verify_theorem,
 )
 from zagreb.cli import cli_main
 from zagreb.graph6 import graph6_decode
@@ -319,8 +321,21 @@ def test_enumerate_unwritable_csv_exits_2(tmp_path, capsys):
 
 
 def test_enumerate_rejects_oversize(capsys):
-    code, _, err = run(capsys, "enumerate", "--n", "9", "--cyclomatic", "3")
-    assert code == 2 and "allow_large" in err
+    gate = (
+        "n=9 at c=3 means roughly C(36,11) ~ 6e8 edge subsets; "
+        "pass allow_large=True (CLI: --allow-large) to run it anyway"
+    )
+    for argv, message in [
+        (("enumerate", "--n", "9", "--cyclomatic", "3"), gate),
+        (("enumerate", "--n", "10", "--cyclomatic", "1"),
+         "enumeration is capped at n=9, got n=10"),
+        (("enumerate", "--n", "10", "--cyclomatic", "3", "--allow-large"),
+         "enumeration is capped at n=9, got n=10"),
+        (("brace-census", "--n", "9", "--cyclomatic", "3"), gate),
+        (("brace-census", "--n", "12", "--cyclomatic", "2"),
+         "enumeration is capped at n=9, got n=12"),
+    ]:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_verify_theorem_roundtrip(tmp_path, capsys):
@@ -420,9 +435,11 @@ def test_workers_option_is_rejected(capsys, argv):
     [
         ("theorem-2", "4..10", "capped at n=9, got n=10"),
         ("theorem-2", "12..15", "capped at n=9, got n=12"),
-        ("theorem-1", "4..1000000000000000000", "capped at n=9, got n=10"),
         ("theorem-4", "4..9", "allow_large"),
         ("theorem-1", "", "bad order range ''"),
+        # the library refuses what the CLI refuses: the cap before the floor
+        ("theorem-4", "3..10", "enumeration is capped at n=9, got n=10"),
+        ("theorem-1", "3..5", "theorem checks run at n >= 4, got n=3"),
     ],
 )
 def test_verify_theorem_rejects_orders_before_any_scan(
@@ -434,6 +451,44 @@ def test_verify_theorem_rejects_orders_before_any_scan(
     monkeypatch.setattr(enumeration, "connected_classes", refuse)
     code, out, err = run(capsys, "verify", claim, "--n", orders)
     assert code == 2 and out == "" and fragment in err
+    with pytest.raises(GraphError) as exc:
+        verify_theorem(claim, ns=cli_mod._parse_ns(orders))
+    assert err == f"error: {exc.value}\n"
+
+
+# each case runs in a child limited to 512 MiB of address space, so a check
+# that walked or materialized the range fails here instead of exhausting
+# the host's memory
+_BOUNDED = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from zagreb import GraphError, verify_theorem
+from zagreb.cli import cli_main
+try:
+    sys.exit({call})
+except GraphError as exc:
+    sys.exit(f"error: {{exc}}")
+"""
+
+
+@pytest.mark.parametrize(
+    "call, code, message",
+    [
+        ("cli_main(['verify', 'theorem-1', '--n', '4..1000000000000000000'])", 2,
+         "enumeration is capped at n=9, got n=10"),
+        ("cli_main(['verify', 'theorem-1', '--n=-1000000000000000000..5'])", 2,
+         "theorem checks run at n >= 4, got n=-1000000000000000000"),
+        ("verify_theorem('theorem-1', ns=range(4, 10**18))", 1,
+         "enumeration is capped at n=9, got n=10"),
+    ],
+    ids=["cli-cap", "cli-floor", "library-cap"],
+)
+def test_huge_order_ranges_fail_from_their_bounds(call, code, message):
+    out = subprocess.run(
+        [sys.executable, "-c", _BOUNDED.format(call=call)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (code, "", f"error: {message}\n")
 
 
 def test_brace_census_cli(capsys):

@@ -24,6 +24,13 @@ from util import bf_connected, naive_em1, naive_em2, naive_m1, naive_m2
 NAIVE = {"m1": naive_m1, "m2": naive_m2, "em1": naive_em1, "em2": naive_em2}
 
 
+CAP_10 = "enumeration is capped at n=9, got n=10"
+GATE_9 = (
+    "n=9 at c=3 means roughly C(36,11) ~ 6e8 edge subsets; "
+    "pass allow_large=True (CLI: --allow-large) to run it anyway"
+)
+
+
 def test_enum_spec_validation():
     spec = EnumSpec(n=6, c=2)
     assert spec.m == 7
@@ -31,10 +38,22 @@ def test_enum_spec_validation():
         EnumSpec(n=6, c=4)
     with pytest.raises(GraphError, match="no connected graph"):
         EnumSpec(n=3, c=3)
-    with pytest.raises(GraphError, match="capped at"):
-        EnumSpec(n=10, c=1)
-    with pytest.raises(GraphError, match="allow_large"):
-        EnumSpec(n=9, c=3)
+    for kwargs, message in [
+        ({"n": 10, "c": 1}, CAP_10),
+        ({"n": 10, "c": 3, "allow_large": True}, CAP_10),
+        ({"n": 12, "c": 0}, "enumeration is capped at n=9, got n=12"),
+        ({"n": 9, "c": 3}, GATE_9),
+        # n and c are plain ints: a bool or a float is refused, not carried
+        # into a report or into arithmetic that fails later
+        ({"n": 5, "c": True}, "cyclomatic number must be 0..3, got True"),
+        ({"n": 5, "c": 1.0}, "cyclomatic number must be 0..3, got 1.0"),
+        ({"n": 5.0, "c": 1}, "need at least one vertex, got n=5.0"),
+        ({"n": True, "c": 0}, "need at least one vertex, got n=True"),
+        ({"n": "5", "c": 1}, "need at least one vertex, got n='5'"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            EnumSpec(**kwargs)
+        assert str(exc.value) == message, kwargs
     EnumSpec(n=9, c=3, allow_large=True)
 
 

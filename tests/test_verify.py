@@ -9,6 +9,7 @@ import zagreb.rewrite as rewrite_mod
 import zagreb.verify as verify_mod
 from zagreb import _kernel, enumeration
 from zagreb import (
+    CANON_LIMIT,
     GraphError,
     LEMMA_CLAIMS,
     THEOREM_CLAIMS,
@@ -137,10 +138,41 @@ def test_theorem_orders_validated_before_any_scan(monkeypatch):
     monkeypatch.setattr(_kernel, "scan_extremal", refuse)
     monkeypatch.setattr(enumeration, "connected_classes", refuse)
     monkeypatch.setattr(enumeration, "_class_levels", refuse)
-    with pytest.raises(GraphError, match="capped at n=9, got n=10"):
-        verify_theorem("theorem-2", ns=[4, 5, 6, 7, 10])
-    with pytest.raises(GraphError, match="allow_large"):
-        verify_theorem("theorem-4", ns=range(4, 10))
+    cap = "enumeration is capped at n=9, got n={}"
+    gate = (
+        "n=9 at c=3 means roughly C(36,11) ~ 6e8 edge subsets; "
+        "pass allow_large=True (CLI: --allow-large) to run it anyway"
+    )
+    floor = "theorem checks run at n >= 4, got {}"
+    for claim, ns, message in [
+        ("theorem-2", [4, 5, 6, 7, 10], cap.format(10)),
+        ("theorem-2", [12, 4], cap.format(12)),
+        ("theorem-1", range(4, 16, 4), cap.format(12)),
+        # the cap is checked first, as the CLI does: it outranks the floor
+        # and the n=9 gate
+        ("theorem-1", [2, 10], cap.format(10)),
+        ("theorem-4", range(3, 11), cap.format(10)),
+        ("theorem-4", range(4, 10), gate),
+        ("theorem-4", range(9, 3, -1), gate),
+        ("theorem-1", [3, 4], floor.format("n=3")),
+        ("theorem-1", [], floor.format("[]")),
+        ("theorem-1", range(5, 5), floor.format("[]")),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            verify_theorem(claim, ns=ns)
+        assert str(exc.value) == message, (claim, ns)
+
+
+def test_canon_limit_covers_every_admitted_order():
+    # the theorem checks canonicalize the witness families at every order
+    # EnumSpec admits; canon cannot import the order table, so this ties them
+    top = max(hi for _, hi in enumeration.ORDER_CAPS.values())
+    assert CANON_LIMIT >= top
+    for cfg in verify_mod._THEOREMS.values():
+        for side in ("min", "max"):
+            if side in cfg:
+                _, forms = verify_mod._expected(cfg[side], top)
+                assert all(graph6_decode(f).n == top for f in forms)
 
 
 def test_lemma_fixture_rows():
@@ -179,6 +211,21 @@ def test_lemma_trials_must_be_nonnegative():
     assert rep.rows[1]["random_trials"] == 0
     assert rep.rows[1]["corpus_size"] == 44  # connected graphs with n <= 4
     assert rep.passed
+
+
+def test_lemma_enum_max_is_bounded(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started before enum_max was checked")
+
+    monkeypatch.setattr(verify_mod, "_class_levels", refuse)
+    for enum_max in (-1, 10, True, 4.0):
+        with pytest.raises(GraphError) as exc:
+            verify_lemma("lemma-1", trials=0, enum_max=enum_max)
+        assert str(exc.value) == f"enum_max must be 0..9, got {enum_max!r}"
+        with pytest.raises(GraphError):
+            verify_mod.lemma_sweep(trials=0, enum_max=enum_max)
+    rep = verify_lemma("lemma-1", trials=3, seed=1, enum_max=0)
+    assert rep.rows[1]["corpus_size"] == 3 and rep.rows[1]["enumerated_max_n"] == 0
 
 
 def test_lemma_sweep_matches_individual_runs():
