@@ -61,7 +61,7 @@ from itertools import permutations
 from . import _kernel
 # perfbench/tracer.py wraps canonical_form and _from_edges in each module
 # that imports them
-from .canon import _canonical_search, canonical_form  # noqa: F401
+from .canon import CANON_LIMIT, _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
 from .graph6 import edge_table, encode_mask, graph_of_mask, mask_edges, mask_rows
 from .indices import INDEX_FUNCS, INDEX_IDS, degrees
@@ -435,10 +435,15 @@ def connected_classes(n: int, m: int) -> dict[int, int]:
 
     Maps each class's canonical adjacency mask (the mask canonical_form
     encodes) to |Aut| of the class; the class holds n!/|Aut| labeled
-    graphs.  Empty when no connected (n, m) graph exists.
+    graphs.  Empty when no connected (n, m) graph exists; n is bounded
+    by the canonical search's CANON_LIMIT.
     """
-    if n < 1:
-        raise GraphError(f"need at least one vertex, got n={n}")
+    if type(n) is not int or n < 1:
+        raise GraphError(f"need at least one vertex, got n={n!r}")
+    if type(m) is not int:
+        raise GraphError(f"edge count must be an int, got m={m!r}")
+    if n > CANON_LIMIT:
+        raise GraphError(f"class generation is capped at n={CANON_LIMIT}, got n={n}")
     if not n - 1 <= m <= n * (n - 1) // 2:
         return {}
     for level_m, level in _class_levels(n):

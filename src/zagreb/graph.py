@@ -17,9 +17,9 @@ class GraphError(ValueError):
 class Graph:
     """A simple undirected graph, immutable after construction.
 
-    Use make_graph() to build one with validation.  Vertices are the
-    integers 0..n-1; edges are stored as sorted pairs (u, v) with u < v,
-    in lexicographic order.
+    Graph(n, edges) is make_graph(n, edges), which validates its input.
+    Vertices are the integers 0..n-1; edges are stored as sorted pairs
+    (u, v) with u < v, in lexicographic order.
     """
 
     __slots__ = ("n", "_adj", "_edges")
@@ -28,11 +28,8 @@ class Graph:
     _adj: tuple[frozenset[int], ...]
     _edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        g = make_graph(n, edges)
-        object.__setattr__(self, "n", g.n)
-        object.__setattr__(self, "_adj", g._adj)
-        object.__setattr__(self, "_edges", g._edges)
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]):
+        return make_graph(n, edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

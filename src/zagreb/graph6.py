@@ -12,16 +12,16 @@ lower neighbours of v.  mask_edges(), the package's one mask walk, finds
 the set bits once, with no table of pairs and no sort, and hands on the
 edges in index order.  The index formulas score those edges directly;
 mask_rows() turns them into neighbour lists, which the canonical search
-reads, and graph_of_mask(), the one mask -> Graph builder, adds the
-lexicographic edge tuple to them.
+reads; and graph_of_mask(), the one mask -> Graph path, hands them to
+graph._from_edges, which builds the Graph's rows and sorted edge tuple.
 """
 
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 
-# perfbench/tracer.py wraps _from_edges in each module that imports it
-from .graph import Graph, GraphError, _blessed, _from_edges  # noqa: F401
+# graph_of_mask looks _from_edges up here at call time; perfbench wraps it
+from .graph import Graph, GraphError, _from_edges
 
 
 class Graph6Error(GraphError):
@@ -93,11 +93,9 @@ def mask_rows(n: int, mask: int) -> list[list[int]]:
 def graph_of_mask(n: int, mask: int) -> Graph:
     """Graph on n vertices with edge k present iff bit k of mask is set.
 
-    Ascending rows give the edges in lexicographic order.
+    The mask walk's edges are valid and distinct, as _from_edges trusts.
     """
-    rows = mask_rows(n, mask)
-    edges = tuple([(u, w) for u in range(n) for w in rows[u] if w > u])
-    return _blessed(n, rows, edges)
+    return _from_edges(n, mask_edges(n, mask))
 
 
 def _size_prefix(n: int) -> str:

@@ -7,10 +7,10 @@ m2 of the line graph; the test suite holds the package to that identity.
 
 This module is the package's one definition of each index, written as a
 function of a degree list and an edge list in any order: INDEX_FUNCS
-maps each id to it.  Callers that hold only an adjacency mask score the
-edges of graph6.mask_edges() with the degrees() of that list and build
-no Graph; m1()..em2() and compute_index() score a Graph from its
-adjacency rows and edge tuple.
+maps each id to it, and every caller reaches it there.  Callers that
+hold only an adjacency mask score the edges of graph6.mask_edges() with
+the degrees() of that list and build no Graph; compute_index(), and so
+m1()..em2(), score a Graph from its adjacency rows and edge tuple.
 """
 
 from __future__ import annotations
@@ -63,24 +63,24 @@ def _em2(deg, edges) -> int:
     return sum([x * x for x in s]) // 2 - squares
 
 
-# perfbench/tracer.py wraps each entry; callers look them up at call time
+# every caller looks its formula up here at call time; perfbench wraps each
 INDEX_FUNCS = {"m1": _m1, "m2": _m2, "em1": _em1, "em2": _em2}
 INDEX_IDS = tuple(INDEX_FUNCS)
 
 
 def m1(g: Graph) -> int:
     """First Zagreb index: sum of squared vertex degrees."""
-    return _m1(list(map(len, g._adj)), g._edges)
+    return compute_index(g, "m1")
 
 
 def m2(g: Graph) -> int:
     """Second Zagreb index: sum of deg(u)*deg(v) over edges uv."""
-    return _m2(list(map(len, g._adj)), g._edges)
+    return compute_index(g, "m2")
 
 
 def em1(g: Graph) -> int:
     """First reformulated Zagreb index: sum of squared edge degrees."""
-    return _em1(list(map(len, g._adj)), g._edges)
+    return compute_index(g, "em1")
 
 
 def em2(g: Graph) -> int:
@@ -89,7 +89,7 @@ def em2(g: Graph) -> int:
     Sum of deg(e)*deg(f) over unordered pairs of distinct adjacent edges,
     each pair counted once.
     """
-    return _em2(list(map(len, g._adj)), g._edges)
+    return compute_index(g, "em2")
 
 
 def compute_index(g: Graph, index: str) -> int:

@@ -249,6 +249,9 @@ def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
 
 
 def _lemma_pass(kinds, trials, seed, enum_max):
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise GraphError(f"{name} must be an int, got {value!r}")
     if trials < 0:
         raise GraphError(f"trials must be >= 0, got {trials}")
     if type(enum_max) is not int or not 0 <= enum_max <= LEMMA_MAX_N:

@@ -129,6 +129,18 @@ def test_connected_classes_is_one_level(levels):
             assert connected_classes(n, m) == levels[n].get(m, {}), (n, m)
     with pytest.raises(GraphError, match="at least one vertex"):
         connected_classes(0, 0)
+    # bad input gets EnumSpec's messages, and n is bounded by the
+    # canonical search's limit
+    for n, m, message in [
+        (5.0, 4, "need at least one vertex, got n=5.0"),
+        (True, 0, "need at least one vertex, got n=True"),
+        (5, 4.0, "edge count must be an int, got m=4.0"),
+        (5, False, "edge count must be an int, got m=False"),
+        (11, 10, "class generation is capped at n=10, got n=11"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            connected_classes(n, m)
+        assert str(exc.value) == message
 
 
 def test_recurrence_reproduces_the_frozen_counts():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zagreb.graph6 as graph6_mod
 from zagreb import (
     Graph6Error,
     cycle_graph,
@@ -189,6 +190,23 @@ def test_mask_builder_matches_table_lookup():
             assert g.n == ref.n and g.edges == ref.edges, (n, mask)
             for v in range(n):
                 assert g.neighbors(v) == ref.neighbors(v), (n, mask, v)
+
+
+def test_mask_builds_go_through_from_edges(monkeypatch):
+    # graph6 looks _from_edges up at call time, so a wrapper there sees
+    # every mask -> Graph build
+    calls = []
+
+    def counted(n, edges):
+        calls.append(n)
+        return built(n, edges)
+
+    built = graph6_mod._from_edges
+    monkeypatch.setattr(graph6_mod, "_from_edges", counted)
+    assert graph_of_mask(4, 0b111111) == K4
+    assert calls == [4]
+    assert graph6_decode("Dhc") == cycle_graph(5)
+    assert calls == [4, 5]
 
 
 @pytest.mark.parametrize("bad", ["é", "\U0001F600", chr(62), chr(127)])

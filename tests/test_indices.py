@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import zagreb.indices as indices_mod
+import zagreb.verify as verify_mod
 from zagreb import (
     GraphError,
     INDEX_IDS,
@@ -77,6 +79,22 @@ def test_compute_index_dispatch():
         assert compute_index(K4, ident) == fn(K4)
     with pytest.raises(GraphError, match="unknown index"):
         compute_index(K4, "em3")
+
+
+def test_named_indices_look_their_formula_up_at_call_time(monkeypatch):
+    # m1()..em2() reach their formula through INDEX_FUNCS, so a wrapper
+    # on an entry sees every call, the lemma sweep's verify.em1 included
+    calls = []
+
+    def counted(deg, edges):
+        calls.append(len(edges))
+        return formula(deg, edges)
+
+    formula = indices_mod.INDEX_FUNCS["em1"]
+    monkeypatch.setitem(indices_mod.INDEX_FUNCS, "em1", counted)
+    assert em1(K4) == 96
+    assert verify_mod.em1(K4) == 96
+    assert calls == [6, 6]
 
 
 def test_index_is_relabeling_invariant():

@@ -202,11 +202,29 @@ def test_lemma_corpus_row_counts_sites():
     assert rep.passed
 
 
-def test_lemma_trials_must_be_nonnegative():
-    with pytest.raises(GraphError, match="trials"):
+def test_lemma_trials_must_be_nonnegative(monkeypatch):
+    with pytest.raises(GraphError) as exc:
         verify_lemma("lemma-1", trials=-5, enum_max=4)
+    assert str(exc.value) == "trials must be >= 0, got -5"
     with pytest.raises(GraphError, match="trials"):
         verify_mod.lemma_sweep(trials=-1, enum_max=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started before trials and seed were checked")
+
+    # trials and seed go into the report as given, so both must be ints
+    monkeypatch.setattr(verify_mod, "_class_levels", refuse)
+    for kwargs, message in [
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"trials": 2.5}, "trials must be an int, got 2.5"),
+        ({"trials": 0, "seed": "abc"}, "seed must be an int, got 'abc'"),
+        ({"trials": 0, "seed": False}, "seed must be an int, got False"),
+    ]:
+        for run in (verify_mod.lemma_sweep, lambda **kw: verify_lemma("lemma-1", **kw)):
+            with pytest.raises(GraphError) as exc:
+                run(enum_max=3, **kwargs)
+            assert str(exc.value) == message
+    monkeypatch.undo()
     rep = verify_lemma("lemma-1", trials=0, enum_max=4)
     assert rep.rows[1]["random_trials"] == 0
     assert rep.rows[1]["corpus_size"] == 44  # connected graphs with n <= 4
