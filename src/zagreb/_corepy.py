@@ -16,7 +16,7 @@ complete a connected graph.
 
 Each connected subset is handed on as its edge mask, and nothing more.
 scan_extremal scores a mask from its edge list, with no Graph built, as
-indices.INDEX_FUNCS[index](degrees(n, edges), edges) over the edges of
+indices._formula(index)(degrees(n, edges), edges) over the edges of
 graph6.mask_edges(n, mask).
 
 This is the package's one enumeration kernel.  Callers reach it through
@@ -107,10 +107,7 @@ def scan_extremal(n: int, m: int, index: str):
     witness masks in walk order; (visited, None, None, [], []) when
     there is no graph.
     """
-    try:
-        value = indices.INDEX_FUNCS[index]
-    except KeyError:
-        raise ValueError(f"unknown index {index!r}") from None
+    value = indices._formula(index)
     lo = hi = None
     min_masks: list[int] = []
     max_masks: list[int] = []

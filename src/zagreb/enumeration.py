@@ -64,7 +64,7 @@ from . import _kernel
 from .canon import CANON_LIMIT, _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
 from .graph6 import edge_table, encode_mask, graph_of_mask, mask_edges, mask_rows
-from .indices import INDEX_FUNCS, INDEX_IDS, degrees
+from .indices import _formula, degrees
 
 # the order policy: c -> (highest n admitted freely, highest with allow_large)
 ORDER_CAPS = {0: (9, 9), 1: (9, 9), 2: (9, 9), 3: (8, 9)}
@@ -82,6 +82,10 @@ class EnumSpec:
     allow_large: bool = False
 
     def __post_init__(self):
+        for flag in ("dedup", "allow_large"):
+            value = getattr(self, flag)
+            if type(value) is not bool:
+                raise GraphError(f"{flag} must be True or False, got {value!r}")
         if type(self.c) is not int or self.c not in ORDER_CAPS:
             raise GraphError(f"cyclomatic number must be 0..3, got {self.c!r}")
         if type(self.n) is not int or self.n < 1:
@@ -167,16 +171,12 @@ class ExtremalReport:
 
 def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
     """Exhaustive min/max of one index over the graphs selected by an EnumSpec."""
-    if index not in INDEX_IDS:
-        raise GraphError(
-            f"unknown index {index!r}, choose from {', '.join(INDEX_IDS)}"
-        )
+    score = _formula(index)
     n, m = spec.n, spec.m
     t0 = time.perf_counter()
     # an EnumSpec admits only n-1 <= m <= C(n,2), so there is a class
     classes = connected_classes(n, m)
     order = math.factorial(n)
-    score = INDEX_FUNCS[index]
     values = {}
     for mask in classes:
         edges = mask_edges(n, mask)

@@ -5,6 +5,11 @@ s_n_m(n, m) is the star on n vertices with one distinguished leaf joined
 to m - n + 1 of the other leaves; s_n_k4(n) is a 4-clique with n - 4
 pendant vertices on one of its corners.  Both maximize em1 in their
 cyclomatic class, which is what the verification harness checks.
+
+Each family is one ReferenceValue row: its closed form, where the form
+comes from, and its constructor when it has one.  CONSTRUCTORS is read
+off those rows.  Every constructor and expected_em1 take a plain int
+order and refuse anything else, bools included.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Graph, GraphError, _from_edges
+from .graph import Graph, GraphError, _from_edges, _ints
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1); n >= 1."""
+    _ints(n=n)
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
     return _from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -24,6 +30,7 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star with center 0 and leaves 1..n-1; n >= 2."""
+    _ints(n=n)
     if n < 2:
         raise GraphError(f"star needs n >= 2, got {n}")
     return _from_edges(n, [(0, v) for v in range(1, n)])
@@ -31,6 +38,7 @@ def star_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0; n >= 3."""
+    _ints(n=n)
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     return _from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
@@ -43,6 +51,7 @@ def s_n_m(n: int, m: int) -> Graph:
     2..(m - n + 2).  Preconditions: n >= 4, m >= n - 1, and the star must
     have enough other leaves: m - n + 1 <= n - 2.
     """
+    _ints(n=n, m=m)
     if n < 4:
         raise GraphError(f"s_n_m needs n >= 4, got n={n}")
     extra = m - n + 1
@@ -59,6 +68,7 @@ def s_n_m(n: int, m: int) -> Graph:
 
 def s_n_k4(n: int) -> Graph:
     """4-clique on 0..3 with n - 4 pendants attached to vertex 0; n >= 4."""
+    _ints(n=n)
     if n < 4:
         raise GraphError(f"s_n_k4 needs n >= 4, got {n}")
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -68,36 +78,41 @@ def s_n_k4(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class ReferenceValue:
-    """Registered closed form for em1 of a named family."""
+    """Registered closed form for em1 of a named family, and the family's
+    constructor where it has one."""
 
     symbol: str
     min_n: int
     formula: Callable[[int], int]
     provenance: str
     note: str
+    build: Callable[[int], Graph] | None = None
 
 
 _REFERENCES = {
     r.symbol: r
     for r in (
-        ReferenceValue("path", 3, lambda n: 4 * n - 10, "derived", "path P_n"),
-        ReferenceValue("star", 2, lambda n: (n - 1) * (n - 2) ** 2, "derived", "star S_n"),
-        ReferenceValue("cycle", 3, lambda n: 4 * n, "derived", "cycle C_n"),
+        ReferenceValue("path", 3, lambda n: 4 * n - 10, "derived", "path P_n", path_graph),
+        ReferenceValue(
+            "star", 2, lambda n: (n - 1) * (n - 2) ** 2, "derived", "star S_n",
+            star_graph,
+        ),
+        ReferenceValue("cycle", 3, lambda n: 4 * n, "derived", "cycle C_n", cycle_graph),
         ReferenceValue(
             "snm1", 4, lambda n: n**3 - 5 * n**2 + 12 * n - 6, "derived",
-            "s_n_m(n, n): unicyclic maximizer",
+            "s_n_m(n, n): unicyclic maximizer", lambda n: s_n_m(n, n),
         ),
         ReferenceValue(
             "snm2", 4, lambda n: n**3 - 5 * n**2 + 16 * n + 4, "theorem-3",
-            "s_n_m(n, n+1): bicyclic maximizer",
+            "s_n_m(n, n+1): bicyclic maximizer", lambda n: s_n_m(n, n + 1),
         ),
         ReferenceValue(
             "snm3", 5, lambda n: n**3 - 5 * n**2 + 20 * n + 32, "theorem-5",
-            "s_n_m(n, n+2): tricyclic co-maximizer",
+            "s_n_m(n, n+2): tricyclic co-maximizer", lambda n: s_n_m(n, n + 2),
         ),
         ReferenceValue(
             "snk4", 4, lambda n: n**3 - 5 * n**2 + 20 * n + 32, "theorem-5",
-            "s_n_k4(n): tricyclic co-maximizer",
+            "s_n_k4(n): tricyclic co-maximizer", s_n_k4,
         ),
         ReferenceValue(
             "tri_candidate_1", 4, lambda n: n**3 - 5 * n**2 + 16 * n + 18,
@@ -132,6 +147,7 @@ FAMILY_SYMBOLS = tuple(sorted(_REFERENCES))
 def expected_em1(symbol: str, n: int) -> int:
     """Registered closed-form em1 value for the named family at order n."""
     ref = reference(symbol)
+    _ints(n=n)
     if n < ref.min_n:
         raise GraphError(f"{symbol} is registered for n >= {ref.min_n}, got {n}")
     return ref.formula(n)
@@ -146,11 +162,5 @@ def reference(symbol: str) -> ReferenceValue:
 
 # Constructors for the symbols that have one; m is a function of n here.
 CONSTRUCTORS: dict[str, Callable[[int], Graph]] = {
-    "path": path_graph,
-    "star": star_graph,
-    "cycle": cycle_graph,
-    "snm1": lambda n: s_n_m(n, n),
-    "snm2": lambda n: s_n_m(n, n + 1),
-    "snm3": lambda n: s_n_m(n, n + 2),
-    "snk4": s_n_k4,
+    r.symbol: r.build for r in _REFERENCES.values() if r.build is not None
 }

@@ -2,7 +2,10 @@
 operations the rest of the package builds on.
 
 Graphs are undirected, loop-free and multi-edge-free.  Every operation
-returns a fresh Graph; nothing mutates in place.
+returns a fresh Graph; nothing mutates in place.  _from_edges is the one
+code that lays out a Graph's fields, from pairs its caller vouches for;
+make_graph, and so Graph(n, edges), validates its input and then builds
+through _from_edges.
 """
 
 from __future__ import annotations
@@ -67,15 +70,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _blessed(n: int, adj: list[Iterable[int]], edges: tuple[tuple[int, int], ...]) -> Graph:
-    # Trusted fast path: callers guarantee consistent adj/edges, edges sorted.
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "_adj", tuple(map(frozenset, adj)))
-    object.__setattr__(g, "_edges", edges)
-    return g
-
-
 def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     # Trusted fast path: pairs already valid, distinct, with u < v.
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -84,7 +78,18 @@ def _from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
         es.append((u, v))
-    return _blessed(n, adj, tuple(sorted(es)))
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "_adj", tuple(map(frozenset, adj)))
+    object.__setattr__(g, "_edges", tuple(sorted(es)))
+    return g
+
+
+def _ints(**values) -> None:
+    # plain ints only: a bool or a float would pass a bound check and go on
+    for name, value in values.items():
+        if type(value) is not int:
+            raise GraphError(f"{name} must be an int, got {value!r}")
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -126,8 +131,9 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"need at least one vertex, got n={n!r}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    es: list[tuple[int, int]] = []
+    # in input order, so each adjacency set is filled as the caller listed it
+    pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for pair in edges:
         try:
             u, v = pair
@@ -141,12 +147,11 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"loop ({u}, {v}) not allowed")
         if u > v:
             u, v = v, u
-        if v in adj[u]:
+        if (u, v) in seen:
             raise GraphError(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-        es.append((u, v))
-    return _blessed(n, adj, tuple(sorted(es)))
+        seen.add((u, v))
+        pairs.append((u, v))
+    return _from_edges(n, pairs)
 
 
 def degree(g: Graph, v: int) -> int:

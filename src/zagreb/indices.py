@@ -7,10 +7,12 @@ m2 of the line graph; the test suite holds the package to that identity.
 
 This module is the package's one definition of each index, written as a
 function of a degree list and an edge list in any order: INDEX_FUNCS
-maps each id to it, and every caller reaches it there.  Callers that
-hold only an adjacency mask score the edges of graph6.mask_edges() with
-the degrees() of that list and build no Graph; compute_index(), and so
-m1()..em2(), score a Graph from its adjacency rows and edge tuple.
+maps each id to it, and every caller reaches it there, by id through
+_formula(), which also raises the one unknown-index error.  Callers
+that hold only an adjacency mask score the edges of graph6.mask_edges()
+with the degrees() of that list and build no Graph; compute_index(),
+and so m1()..em2(), score a Graph from its adjacency rows and edge
+tuple.
 """
 
 from __future__ import annotations
@@ -94,8 +96,13 @@ def em2(g: Graph) -> int:
 
 def compute_index(g: Graph, index: str) -> int:
     """Dispatch by index id ("m1", "m2", "em1", "em2")."""
+    return _formula(index)(list(map(len, g._adj)), g._edges)
+
+
+def _formula(index: str):
+    # the one lookup of an index id and the one unknown-index error
     try:
-        fn = INDEX_FUNCS[index]
-    except KeyError:
-        raise GraphError(f"unknown index {index!r}, expected one of {INDEX_IDS}") from None
-    return fn(list(map(len, g._adj)), g._edges)
+        return INDEX_FUNCS[index]
+    except (KeyError, TypeError):
+        ids = ", ".join(INDEX_IDS)
+        raise GraphError(f"unknown index {index!r}, choose from {ids}") from None

@@ -12,7 +12,9 @@ site is applied through apply_rewrite with its full precondition
 checks, but the sweep reads only the result's em1_after, so it builds
 no rewritten Graph; em1 of each corpus graph is taken once, at its
 first site, and compared with every site's em1_after.  Every failing
-verdict embeds a decodable counterexample.
+verdict embeds a decodable counterexample.  Each lemma is one row of
+_LEMMAS: its direction and a hand-checked site of its operation, which
+every report of the lemma shows as its fixture row.
 
 The enumerated part of the lemma corpus is swept one isomorphism class
 at a time, each class weighted by the n!/|Aut| labeled graphs it
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from .canon import canonical_form
 from .enumeration import LEMMA_MAX_N, EnumSpec, _class_levels, extremal_scan
 from .families import CONSTRUCTORS, expected_em1, reference
-from .graph import Graph, GraphError, _from_edges
+from .graph import Graph, GraphError, _from_edges, _ints
 from .graph6 import edge_table, graph6_encode, graph_of_mask
 from .indices import em1
 from .rewrite import RewriteSpec, apply_rewrite, find_applicable
@@ -66,15 +68,22 @@ _THEOREMS = {
 }
 THEOREM_CLAIMS = tuple(_THEOREMS)
 
-# lemma -> (operation kind, em1 must strictly increase?)
+# lemma -> (em1 must strictly increase?, one hand-checked demonstration site
+# of its operation: n, edges, RewriteSpec); the operation is the site's kind
 _LEMMAS = {
-    "lemma-1": ("I", True),
-    "lemma-2": ("II", True),
-    "lemma-3": ("III", False),
-    "lemma-4": ("IV", True),
+    "lemma-1": (True, 5, [(0, 1), (1, 2), (2, 3), (2, 4)], RewriteSpec("I", u=2, v=1)),
+    "lemma-2": (
+        True, 7, [(0, 1), (0, 2), (1, 2), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)],
+        RewriteSpec("II", path=(2, 6, 3)),
+    ),
+    "lemma-3": (
+        False, 4, [(0, 1), (0, 2), (0, 3), (1, 2)],
+        RewriteSpec("III", root=0, subtree=(3,), reattach=2),
+    ),
+    "lemma-4": (True, 5, [(0, 1), (1, 2), (2, 3), (3, 4)], RewriteSpec("IV", u=1, v=3)),
 }
 LEMMA_CLAIMS = tuple(_LEMMAS)
-_DIRECTION = dict(_LEMMAS.values())
+_DIRECTION = {site.kind: increases for increases, _, _, site in _LEMMAS.values()}
 
 # the largest order of a random lemma corpus graph
 RANDOM_MAX_N = 12
@@ -119,13 +128,28 @@ def _expected(symbols, n: int) -> tuple[int, set[str]]:
 
 
 def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
-    """Exhaustively check one extremal claim over the given orders."""
+    """Exhaustively check one extremal claim over the given orders.
+
+    ns is a range or an iterable of plain ints, and allow_large a bool;
+    every order is checked before any scan starts.
+    """
     if claim not in _THEOREMS:
         raise GraphError(f"unknown theorem claim {claim!r}, choose from {THEOREM_CLAIMS}")
     cfg = _THEOREMS[claim]
     ns = range(4, 9) if ns is None else ns
     # ascending orders; a range is checked from its ends, never walked
-    orders = (ns if ns.step > 0 else ns[::-1]) if isinstance(ns, range) else sorted(set(ns))
+    if isinstance(ns, range):
+        orders = ns if ns.step > 0 else ns[::-1]
+    else:
+        try:
+            it = iter(ns)
+        except TypeError:
+            raise GraphError(f"ns must be an iterable of orders, got {ns!r}") from None
+        ns = list(it)
+        for n in ns:
+            if type(n) is not int:
+                raise GraphError(f"theorem orders must be ints, got {n!r}")
+        orders = sorted(set(ns))
     EnumSpec.check_cap(orders, cfg["c"])
     if not orders or orders[0] < 4:
         got = f"n={orders[0]}" if orders else "[]"
@@ -220,6 +244,10 @@ def random_connected_graph(
     rng: random.Random, n_min: int = 4, n_max: int = RANDOM_MAX_N
 ) -> Graph:
     """Random connected graph: a uniform labeled tree plus 0..3 extra edges."""
+    # checked before any draw, so every seeded graph stays the same
+    _ints(n_min=n_min, n_max=n_max)
+    if not 1 <= n_min <= n_max:
+        raise GraphError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
     n = rng.randint(n_min, n_max)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     edges = _prufer_edges(n, seq)
@@ -231,27 +259,8 @@ def random_connected_graph(
     return _from_edges(n, edges)
 
 
-def _fixture(kind: str) -> tuple[Graph, RewriteSpec]:
-    # one hand-checked demonstration site per operation
-    if kind == "I":
-        g = _from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-        return g, RewriteSpec(kind="I", u=2, v=1)
-    if kind == "II":
-        g = _from_edges(
-            7, [(0, 1), (0, 2), (1, 2), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)]
-        )
-        return g, RewriteSpec(kind="II", path=(2, 6, 3))
-    if kind == "III":
-        g = _from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        return g, RewriteSpec(kind="III", root=0, subtree=(3,), reattach=2)
-    g = _from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    return g, RewriteSpec(kind="IV", u=1, v=3)
-
-
 def _lemma_pass(kinds, trials, seed, enum_max):
-    for name, value in (("trials", trials), ("seed", seed)):
-        if type(value) is not int:
-            raise GraphError(f"{name} must be an int, got {value!r}")
+    _ints(trials=trials, seed=seed)
     if trials < 0:
         raise GraphError(f"trials must be >= 0, got {trials}")
     if type(enum_max) is not int or not 0 <= enum_max <= LEMMA_MAX_N:
@@ -298,8 +307,9 @@ def _lemma_pass(kinds, trials, seed, enum_max):
 
 
 def _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall):
-    kind, increases = _LEMMAS[claim]
-    fg, fspec = _fixture(kind)
+    increases, n, edges, fspec = _LEMMAS[claim]
+    kind = fspec.kind
+    fg = _from_edges(n, edges)
     fres = apply_rewrite(fg, fspec)
     sites = stats[kind]["sites"]
     direction = "increase" if increases else "decrease"
@@ -338,7 +348,7 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall):
 
 def _sweep(claims, trials, seed, enum_max) -> dict[str, VerdictReport]:
     t0 = time.perf_counter()
-    kinds = tuple(_LEMMAS[c][0] for c in claims)
+    kinds = tuple(_LEMMAS[c][-1].kind for c in claims)
     corpus_size, stats, bad = _lemma_pass(kinds, trials, seed, enum_max)
     wall = time.perf_counter() - t0
     return {

@@ -11,6 +11,7 @@ from zagreb import (
     GraphError,
     brace_census,
     canonical_form,
+    compute_index,
     cycle_graph,
     enumerate_connected,
     extremal_scan,
@@ -50,6 +51,10 @@ def test_enum_spec_validation():
         ({"n": 5.0, "c": 1}, "need at least one vertex, got n=5.0"),
         ({"n": True, "c": 0}, "need at least one vertex, got n=True"),
         ({"n": "5", "c": 1}, "need at least one vertex, got n='5'"),
+        # the flags are bools: 0 or "no" would be written into a report or
+        # read as true
+        ({"n": 4, "c": 0, "dedup": 0}, "dedup must be True or False, got 0"),
+        ({"n": 9, "c": 3, "allow_large": "no"}, "allow_large must be True or False, got 'no'"),
     ]:
         with pytest.raises(GraphError) as exc:
             EnumSpec(**kwargs)
@@ -226,10 +231,15 @@ def test_report_json_shape():
 
 
 def test_bad_index_rejected():
-    with pytest.raises(GraphError, match="unknown index"):
-        extremal_scan(EnumSpec(n=5, c=1), "zagreb3")
-    with pytest.raises(ValueError, match="unknown index"):
-        _kernel.scan_extremal(5, 4, "zagreb3")
+    # one lookup, so one error text, wherever an index id is read
+    for call in (
+        lambda: compute_index(cycle_graph(5), "zagreb3"),
+        lambda: extremal_scan(EnumSpec(n=5, c=1), "zagreb3"),
+        lambda: _kernel.scan_extremal(5, 4, "zagreb3"),
+    ):
+        with pytest.raises(GraphError) as exc:
+            call()
+        assert str(exc.value) == "unknown index 'zagreb3', choose from m1, m2, em1, em2"
 
 
 # pinned pendant-free cores; the unicyclic core can only be the cycle

@@ -57,6 +57,15 @@ def test_s_n_k4_shape():
         (lambda: s_n_k4(3), "needs n >= 4"),
         (lambda: path_graph(0), "needs n >= 1"),
         (lambda: cycle_graph(2), "needs n >= 3"),
+        # orders are plain ints: a float or a bool is refused, not computed with
+        (lambda: path_graph(2.5), "n must be an int, got 2.5"),
+        (lambda: star_graph(True), "n must be an int, got True"),
+        (lambda: cycle_graph("5"), "n must be an int, got '5'"),
+        (lambda: s_n_m(5, 5.0), "m must be an int, got 5.0"),
+        (lambda: s_n_m(False, 5), "n must be an int, got False"),
+        (lambda: s_n_k4(4.0), "n must be an int, got 4.0"),
+        (lambda: expected_em1("path", 4.0), "n must be an int, got 4.0"),
+        (lambda: expected_em1("star", 2.5), "n must be an int, got 2.5"),
     ],
 )
 def test_constructor_preconditions(build, fragment):
@@ -74,7 +83,11 @@ def test_registered_forms_match_direct_evaluation():
 
 
 def test_reference_registry():
-    assert set(CONSTRUCTORS) <= set(FAMILY_SYMBOLS)
+    # each constructor is stated once, in its family's reference row
+    assert list(CONSTRUCTORS) == ["path", "star", "cycle", "snm1", "snm2", "snm3", "snk4"]
+    assert sorted(CONSTRUCTORS.items()) == [
+        (s, reference(s).build) for s in FAMILY_SYMBOLS if reference(s).build is not None
+    ]
     assert "tricyclic_floor" in FAMILY_SYMBOLS
     assert "bicyclic_floor" in FAMILY_SYMBOLS
     assert expected_em1("tricyclic_floor", 10) == 108

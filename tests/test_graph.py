@@ -1,5 +1,6 @@
 import pytest
 
+import zagreb.graph as graph_mod
 from zagreb import (
     Graph,
     GraphError,
@@ -59,6 +60,23 @@ def test_public_constructor_matches_make_graph():
     assert (g == "x") is False
     with pytest.raises(GraphError, match=r"edge \(0, 1, 2\) is not a pair of vertices"):
         Graph(3, [(0, 1, 2)])
+
+
+def test_every_build_goes_through_from_edges(monkeypatch):
+    # make_graph validates and Graph(...) is make_graph; neither lays out a
+    # Graph of its own
+    calls = []
+
+    def counted(n, edges):
+        calls.append(n)
+        return built(n, edges)
+
+    built = graph_mod._from_edges
+    monkeypatch.setattr(graph_mod, "_from_edges", counted)
+    assert make_graph(3, [(2, 1), (1, 0)]).edges == ((0, 1), (1, 2))
+    assert calls == [3]
+    assert Graph(4, [(3, 0)]).edges == ((0, 3),)
+    assert calls == [3, 4]
 
 
 def test_graph_is_immutable():

@@ -157,10 +157,19 @@ def test_theorem_orders_validated_before_any_scan(monkeypatch):
         ("theorem-1", [3, 4], floor.format("n=3")),
         ("theorem-1", [], floor.format("[]")),
         ("theorem-1", range(5, 5), floor.format("[]")),
+        # orders are plain ints, in an iterable
+        ("theorem-1", 5, "ns must be an iterable of orders, got 5"),
+        ("theorem-1", "45", "theorem orders must be ints, got '4'"),
+        ("theorem-1", [4.0], "theorem orders must be ints, got 4.0"),
+        ("theorem-1", [True, 5], "theorem orders must be ints, got True"),
     ]:
         with pytest.raises(GraphError) as exc:
             verify_theorem(claim, ns=ns)
         assert str(exc.value) == message, (claim, ns)
+    # a flag that is not a bool never opens the gated n=9 scan
+    with pytest.raises(GraphError) as exc:
+        verify_theorem("theorem-4", ns=[9], allow_large="no")
+    assert str(exc.value) == "allow_large must be True or False, got 'no'"
 
 
 def test_canon_limit_covers_every_admitted_order():
@@ -311,6 +320,23 @@ def test_random_connected_graph_is_seeded_and_connected():
         assert 4 <= g.n <= 12
         assert is_connected(g)
         assert 0 <= cyclomatic_number(g) <= 3
+
+
+@pytest.mark.parametrize(
+    "n_min, n_max, message",
+    [
+        (5, 4, "need 1 <= n_min <= n_max, got n_min=5, n_max=4"),
+        (0, 3, "need 1 <= n_min <= n_max, got n_min=0, n_max=3"),
+        (4.0, 6, "n_min must be an int, got 4.0"),
+        (4, True, "n_max must be an int, got True"),
+    ],
+)
+def test_random_connected_graph_checks_its_bounds_before_drawing(n_min, n_max, message):
+    rng = random.Random(5)
+    with pytest.raises(GraphError) as exc:
+        random_connected_graph(rng, n_min, n_max)
+    assert str(exc.value) == message
+    assert rng.getstate() == random.Random(5).getstate()
 
 
 def test_prufer_decoding_is_a_bijection_onto_labeled_trees():
