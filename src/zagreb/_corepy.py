@@ -27,6 +27,7 @@ brute force on every n <= 6.
 from __future__ import annotations
 
 from . import indices
+from .graph import GraphError
 from .graph6 import edge_table, mask_edges
 
 
@@ -38,8 +39,11 @@ def visit_connected(n: int, m: int, lo: int, hi: int | None, callback) -> int:
     Only frames of the last position test connectivity, by the flood
     fills the module docstring describes.
     """
-    if m < 0:
-        raise ValueError(f"edge count must be nonnegative, got {m}")
+    # checked here, once per call and outside the walk, for scan_extremal too
+    if type(n) is not int or n < 1:
+        raise GraphError(f"need at least one vertex, got n={n!r}")
+    if type(m) is not int or m < 0:
+        raise GraphError(f"edge count must be a nonnegative int, got m={m!r}")
     P = edge_table(n)
     E = len(P)
     if hi is None or hi > E:

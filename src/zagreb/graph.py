@@ -109,18 +109,23 @@ def _reach(adj, start: int, inside) -> set[int]:
     return seen
 
 
-def _kept(g: Graph, drop, skip=()) -> tuple[dict[int, int], list[tuple[int, int]]]:
-    """Labels 0, 1, ... for the vertices outside drop, in their old order, and
-    g's edges among them, bar the sorted pairs in skip, under those labels."""
-    remap = {}
-    for t in range(g.n):
-        if t not in drop:
-            remap[t] = len(remap)
-    edges = [(remap[a], remap[b]) for a, b in g._edges if a in remap and b in remap]
-    # few edges are skipped, so dropping them afterwards beats a test per edge
-    for a, b in skip:
-        edges.remove((remap[a], remap[b]))
-    return remap, edges
+def _kept(n: int, pairs, top) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """New labels for 0..n-1, and pairs under them, each (low, high), in order.
+
+    The vertices outside top keep their old order on 0, 1, ..., and those
+    of top take the labels after them, in top's order.
+    """
+    label = {}
+    for t in range(n):
+        if t not in top:
+            label[t] = len(label)
+    for t in top:
+        label[t] = len(label)
+    out = []
+    for a, b in pairs:
+        a, b = label[a], label[b]
+        out.append((a, b) if a < b else (b, a))
+    return label, out
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -206,8 +211,9 @@ def brace(g: Graph) -> Graph:
                     stack.append(w)
     if any(deg[v] < 2 for v in range(g.n) if v not in dead):
         raise GraphError("brace undefined: some component carries no cycle")
-    remap, edges = _kept(g, dead)
-    return _from_edges(len(remap), edges)
+    live = [e for e in g._edges if e[0] not in dead and e[1] not in dead]
+    _, edges = _kept(g.n, live, dead)
+    return _from_edges(g.n - len(dead), edges)
 
 
 def fuse(g: Graph, u: int, v: int) -> Graph:
@@ -223,10 +229,11 @@ def fuse(g: Graph, u: int, v: int) -> Graph:
         raise GraphError("cannot fuse a vertex with itself")
     if g.has_edge(u, v):
         raise GraphError(f"cannot fuse adjacent vertices ({u}, {v})")
-    remap, edges = _kept(g, (u, v))
-    w = g.n - 2
-    edges += [(remap[x], w) for x in g._adj[u] | g._adj[v]]
-    return _from_edges(w + 1, edges)
+    # the fused vertex is u, on label n-2; v's label n-1 is left over
+    pairs = [e for e in g._edges if u not in e and v not in e]
+    pairs += [(x, u) for x in g._adj[u] | g._adj[v]]
+    _, edges = _kept(g.n, pairs, (u, v))
+    return _from_edges(g.n - 1, edges)
 
 
 def line_graph(g: Graph) -> Graph:

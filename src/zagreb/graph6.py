@@ -173,4 +173,6 @@ def graph6_encode(g: Graph) -> str:
 
 def graph6_decode(text: str) -> Graph:
     """Graph from one graph6 line."""
+    if not isinstance(text, str):
+        raise Graph6Error(f"graph6 input must be a str, got {text!r}")
     return graph_of_mask(*decode_mask(text))

@@ -1,15 +1,17 @@
 """The four degree-shifting rewrites.
 
-Each operation validates its arguments as vertices, then checks its site
-by reading the adjacency sets directly, and returns a RewriteResult: the
-rewritten edge list, the first reformulated index of that list, and a
-map from old labels to new ones for the vertices that survive: II (a
-fusion plus pendants) and III take those labels from graph._kept, and
-III checks its subtree's connectivity with graph._reach.  The result
-builds its graph and the index of the input (em1_before) only on first
-read, so a caller that reads em1_after alone, as the lemma sweep does,
-builds no Graph.  Operations I, II and IV push that index strictly up;
-operation III pulls it strictly down.
+Each operation checks that g is a Graph and validates its arguments as
+vertices, then checks its site by reading the adjacency sets directly;
+III checks its subtree's connectivity with graph._reach.  It writes the
+rewritten edge list in g's own labels and scores that list (em1 does not
+change under relabeling): I and IV keep every label, III threads its
+chain through the subtree's own labels in ascending order, and II keeps
+the fused vertex on u's label and reuses v's for the fresh pendant.  The
+RewriteResult builds the relabeled edges, the relabel map, its graph
+and the index of the input (em1_before) only on first read, so a caller
+that reads em1_after alone, as the lemma sweep does, builds no Graph,
+no label map and no relabeled pair.  Operations I, II and IV push that
+index strictly up; operation III pulls it strictly down.
 find_applicable lists every valid site, reading the adjacency the same
 way, so property sweeps can cover whole corpora.  Callers need no
 prefilter: a finder returns [] on a graph without the pendant (I, III,
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import countOf
 
 from .graph import Graph, GraphError, _from_edges, _kept, _reach
@@ -65,16 +68,41 @@ class RewriteSpec:
 
 @dataclass(frozen=True)
 class RewriteResult:
-    """One rewrite of source: its edge list (pairs u < v, unsorted) on
-    source.n vertices, em1 of that list, and the labels of the survivors.
+    """One rewrite of source, scored in source's own labels.
 
-    graph and em1_before are computed on first read and kept.
+    pairs is the rewritten edge list on source.n vertices, written in
+    source's labels with either end first, and em1_after is em1 of that
+    list, which no relabeling changes.  The result's labels follow one
+    rule, graph._kept: the vertices outside top keep their order on
+    0, 1, ..., and those of top take the labels after them in top's
+    order.  The vertices of fused survive as one, on fused[0]'s label.
+
+    edges (pairs under the result's labels, each u < v, in the same list
+    order), relabel (old label -> new label of every survivor), graph
+    and em1_before are built on first read and kept.
     """
 
     source: Graph
-    edges: list[tuple[int, int]]
-    relabel: dict[int, int]
+    pairs: list[tuple[int, int]]
     em1_after: int
+    top: tuple[int, ...]
+    fused: tuple[int, ...]
+
+    @cached_property
+    def _relabeled(self) -> tuple[dict[int, int], list[tuple[int, int]]]:
+        return _kept(self.source.n, self.pairs, self.top)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        return self._relabeled[1]
+
+    @cached_property
+    def relabel(self) -> dict[int, int]:
+        label = self._relabeled[0]
+        out = dict(islice(label.items(), self.source.n - len(self.top)))
+        for x in self.fused:
+            out[x] = label[self.fused[0]]
+        return out
 
     @cached_property
     def graph(self) -> Graph:
@@ -83,6 +111,11 @@ class RewriteResult:
     @cached_property
     def em1_before(self) -> int:
         return em1(self.source)
+
+
+def _graph(g) -> None:
+    if not isinstance(g, Graph):
+        raise RewriteError(f"{g!r} is not a Graph")
 
 
 def _vertex(g: Graph, x, role: str) -> int:
@@ -102,6 +135,7 @@ def _sequence(xs, op: str, field: str) -> tuple:
 
 def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
     """Move every pendant neighbor of u onto its neighbor v."""
+    _graph(g)
     _vertex(g, u, "u")
     _vertex(g, v, "v")
     adj = g._adj
@@ -123,18 +157,19 @@ def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
     return _move_pendants(g, pendants, v)
 
 
-def _rewritten(g: Graph, edges, relabel: dict[int, int]) -> RewriteResult:
-    # every operation keeps n; the edge list is scored without a Graph
+def _rewritten(g: Graph, edges, top=(), fused=()) -> RewriteResult:
+    # every operation keeps n, and em1 ignores labels: the list is scored
+    # as the operation wrote it, in g's labels, without a Graph
     after = INDEX_FUNCS["em1"](degrees(g.n, edges), edges)
-    return RewriteResult(g, edges, relabel, after)
+    return RewriteResult(g, edges, after, top, fused)
 
 
 def _move_pendants(g: Graph, pendants, target: int) -> RewriteResult:
     # reattach each pendant vertex to target; labels stay put
     moved = set(pendants)
-    edges = [e for e in g.edges if e[0] not in moved and e[1] not in moved]
-    edges += [(min(target, w), max(target, w)) for w in pendants]
-    return _rewritten(g, edges, {t: t for t in range(g.n)})
+    edges = [e for e in g._edges if e[0] not in moved and e[1] not in moved]
+    edges += [(target, w) for w in pendants]
+    return _rewritten(g, edges)
 
 
 def operation_ii(g: Graph, path) -> RewriteResult:
@@ -144,6 +179,7 @@ def operation_ii(g: Graph, path) -> RewriteResult:
     the former interior vertices plus one fresh vertex as pendants, so n
     and m are both preserved.
     """
+    _graph(g)
     p = _sequence(path, "II", "path")
     if len(p) < 3:
         raise RewriteError(f"operation II: path needs >= 3 vertices, got {len(p)}")
@@ -176,13 +212,14 @@ def operation_ii(g: Graph, path) -> RewriteResult:
             f"fusing would merge parallel edges"
         )
 
-    # fuse u and v into n-2 as graph.fuse does; interior and fresh n-1 hang off it
-    skip = [(min(a, b), max(a, b)) for a, b in zip(p[1:-2], p[2:-1])]
-    remap, edges = _kept(g, (u, v), skip)
-    w = g.n - 2
-    edges += [(remap[x], w) for x in off_u | off_v | set(p[1:-1])]
-    edges.append((w, w + 1))
-    return _rewritten(g, edges, {**remap, u: w, v: w})
+    # u is the fused vertex and v's label the fresh pendant; on read they
+    # take n-2 and n-1, as graph.fuse places its fused vertex
+    edges = [e for e in g._edges if u not in e and v not in e]
+    for a, b in zip(p[1:-2], p[2:-1]):
+        edges.remove((a, b) if a < b else (b, a))
+    edges += [(x, u) for x in off_u | off_v | set(p[1:-1])]
+    edges.append((u, v))
+    return _rewritten(g, edges, (u, v), (u, v))
 
 
 def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
@@ -192,6 +229,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     path of equally many fresh vertices is threaded from root to
     reattach, preserving n and m.
     """
+    _graph(g)
     _vertex(g, root, "root")
     sub = _sequence(subtree, "III", "subtree")
     for x in sub:
@@ -234,15 +272,19 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
             f"has {outside}"
         )
 
-    # kept vertices compact to 0..n-k-1 in order; the chain takes n-k..n-1
-    remap, edges = _kept(g, s, [(min(root, y), max(root, y))])
-    stops = [remap[root], *range(len(remap), g.n), remap[y]]
-    edges += [(min(a, b), max(a, b)) for a, b in zip(stops, stops[1:])]
-    return _rewritten(g, edges, remap)
+    # the chain runs through the subtree's own labels in ascending order,
+    # which on read take n-k..n-1 after the kept vertices
+    top = tuple(sorted(s))
+    edges = [e for e in g._edges if e[0] not in s and e[1] not in s]
+    edges.remove((root, y) if root < y else (y, root))
+    stops = [root, *top, y]
+    edges += zip(stops, stops[1:])
+    return _rewritten(g, edges, top)
 
 
 def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
     """Move every pendant of v onto u when u's core neighborhood covers v's."""
+    _graph(g)
     _vertex(g, u, "u")
     _vertex(g, v, "v")
     if u == v:
@@ -374,7 +416,9 @@ def _operation(kind):
 
 
 def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
-    """Dispatch one RewriteSpec against its operation."""
+    """Dispatch one RewriteSpec against its operation, which checks g."""
+    if not isinstance(spec, RewriteSpec):
+        raise RewriteError(f"{spec!r} is not a RewriteSpec")
     op, fields, _ = _operation(spec.kind)
     given = vars(spec)
     args = [given[f] for f in fields]
@@ -393,4 +437,5 @@ def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
 def find_applicable(g: Graph, kind: str) -> list[RewriteSpec]:
     """Every site where the operation's preconditions hold, in label order."""
     _, _, sites = _operation(kind)
+    _graph(g)
     return sites(g)

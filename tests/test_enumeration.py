@@ -230,6 +230,27 @@ def test_report_json_shape():
     assert doc["max"]["graphs"] == list(rep.max_graphs)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # n is a plain int >= 1: a bool is not run as n = 1, a float not walked
+        (lambda: _kernel.scan_extremal(True, 0, "em1"), "need at least one vertex, got n=True"),
+        (lambda: _kernel.scan_extremal(4.0, 3, "em1"), "need at least one vertex, got n=4.0"),
+        (lambda: _kernel.scan_extremal(0, 0, "em1"), "need at least one vertex, got n=0"),
+        (lambda: _kernel.visit_connected("5", 4, 0, None, print),
+         "need at least one vertex, got n='5'"),
+        (lambda: _kernel.visit_connected(5, -1, 0, None, print),
+         "edge count must be a nonnegative int, got m=-1"),
+        (lambda: _kernel.visit_connected(5, 4.0, 0, None, print),
+         "edge count must be a nonnegative int, got m=4.0"),
+    ],
+)
+def test_kernel_refuses_a_bad_order_or_size(call, message):
+    with pytest.raises(GraphError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_bad_index_rejected():
     # one lookup, so one error text, wherever an index id is read
     for call in (

@@ -90,6 +90,14 @@ def test_decode_rejects_malformed(line, fragment, position):
         assert exc.value.position == position
 
 
+@pytest.mark.parametrize("value", [5, b"C~", None])
+def test_decode_rejects_a_non_string(value):
+    # a library caller gets the codec's own error, naming what it passed
+    with pytest.raises(Graph6Error) as exc:
+        graph6_decode(value)
+    assert str(exc.value) == f"graph6 input must be a str, got {value!r}"
+
+
 def test_decode_rejects_set_padding_bit():
     # K3 is "Bw": 3 data bits, 3 padding bits that must stay zero
     assert graph6_encode(cycle_graph(3)) == "Bw"

@@ -16,6 +16,7 @@ from zagreb import (
     graph6_decode,
     graph6_encode,
     is_connected,
+    lemma_sweep,
     make_graph,
     operation_i,
     operation_ii,
@@ -121,6 +122,18 @@ def test_operation_iv_moves_pendants_across():
                               2, 0), "only swap the two vertices"),
         # an edge plus an isolated vertex
         (lambda: operation_iv(graph6_decode("B_"), 2, 0), "v=0 has no non-pendant neighbor"),
+        # g must be a Graph and spec a RewriteSpec, named in the error
+        (lambda: apply_rewrite(path_graph(4), "III"), "'III' is not a RewriteSpec"),
+        (lambda: apply_rewrite(path_graph(4), ("I", 0, 1)),
+         "('I', 0, 1) is not a RewriteSpec"),
+        (lambda: apply_rewrite("x", RewriteSpec(kind="IV", u=1, v=3)), "'x' is not a Graph"),
+        (lambda: find_applicable(None, "III"), "None is not a Graph"),
+        (lambda: find_applicable(path_graph(4).edges, "I"),
+         "((0, 1), (1, 2), (2, 3)) is not a Graph"),
+        (lambda: operation_i(None, 2, 1), "None is not a Graph"),
+        (lambda: operation_ii([(0, 1)], (0, 1, 2)), "[(0, 1)] is not a Graph"),
+        (lambda: operation_iii("C{", 0, (3,), 2), "'C{' is not a Graph"),
+        (lambda: operation_iv(5, 1, 3), "5 is not a Graph"),
     ],
 )
 def test_preconditions(op, fragment):
@@ -191,6 +204,52 @@ def test_lazy_results_match_the_slow_path_on_every_class_up_to_7():
                         assert res.em1_before == naive_em1(g), (mask, spec)
                         sites += 1
     assert sites == 2939
+
+
+# sha256 of every RewriteResult field at every site find_applicable lists
+# on one graph of each class with n <= 7 and on 2,000 seeded random graphs:
+# edges in list order, relabel's items in key order, graph6 of graph,
+# em1_before and em1_after
+RESULTS_SHA256 = "3f5c02152c2f28b036a88b2e57ee34b661bc6e0840ddea99d36d5db23a7033f3"
+
+
+def test_result_fields_pinned_at_every_found_site():
+    def graphs():
+        for n in range(1, 8):
+            for _, classes in _class_levels(n):
+                for mask in classes:
+                    yield graph_of_mask(n, mask)
+        rng = random.Random(2401)
+        for _ in range(2000):
+            yield random_connected_graph(rng)
+
+    digest = hashlib.sha256()
+    sites = 0
+    for g in graphs():
+        head = graph6_encode(g)
+        for kind in KINDS:
+            for spec in find_applicable(g, kind):
+                res = apply_rewrite(g, spec)
+                digest.update(
+                    f"{head} {spec.params()} {res.edges} {list(res.relabel.items())} "
+                    f"{graph6_encode(res.graph)} {res.em1_before} {res.em1_after}\n".encode()
+                )
+                sites += 1
+    assert sites == 24_102
+    assert digest.hexdigest() == RESULTS_SHA256
+
+
+def test_lemma_sweep_reads_only_em1_after(monkeypatch):
+    # the sweep scores each site from em1_after alone: the relabeled edge
+    # list, the label map and the rewritten graph are never built
+    def unread(self):
+        raise AssertionError("the lemma sweep read a relabeled result")
+
+    for name in ("edges", "relabel", "graph"):
+        monkeypatch.setattr(rewrite_mod.RewriteResult, name, property(unread))
+    reports = lemma_sweep(trials=20, enum_max=5)
+    assert all(rep.passed for rep in reports.values())
+    assert reports["lemma-3"].rows[1]["sites"] > 0
 
 
 def test_result_builds_its_graph_once_on_first_read(monkeypatch):
