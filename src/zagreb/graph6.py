@@ -9,8 +9,11 @@ enumeration kernel and this codec therefore share one bit layout.
 
 Column v of a mask is its next run of v bits; their set bits are the
 lower neighbours of v.  mask_edges(), the package's one mask walk, finds
-the set bits once, with no table of pairs and no sort, and hands on the
-edges in index order.  The index formulas score those edges directly;
+the set bits once, with no sort, and hands on the edges in index order.
+For every n with the one-byte size prefix (n <= 62) it selects them from
+one shared table of the first C(62, 2) pairs in a single C-level pass;
+larger n find each set bit with str.rfind, since a table for them would
+grow with n**2.  The index formulas score those edges directly;
 mask_rows() turns them into neighbour lists, which the canonical search
 reads; and graph_of_mask(), the one mask -> Graph path, hands them to
 graph._from_edges, which builds the Graph's rows and sorted edge tuple.
@@ -19,6 +22,7 @@ graph._from_edges, which builds the Graph's rows and sorted edge tuple.
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
+from itertools import compress
 
 # graph_of_mask looks _from_edges up here at call time; perfbench wraps it
 from .graph import Graph, GraphError, _from_edges
@@ -52,14 +56,25 @@ def edge_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
+# the column order does not depend on n, so edge_table(n) is a prefix of
+# this ~120 KB table for every n <= 62; its tuples are shared, never copied
+_PAIRS = edge_table(62)
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, of the n-vertex graph whose edge k is bit k of mask.
 
-    The set bits are found in ascending index order by str.rfind on the
-    binary string, and a column pointer advances with them, so the walk
-    is linear in the mask's length and the edges come out in index
-    (column) order.
+    The edges come out in index (column) order.  For n <= 62 the binary
+    string, reversed so that character k is bit k, becomes a 0/1 byte
+    selector, and itertools.compress picks the pairs of _PAIRS at its set
+    bytes: one C-level pass, and no pair built.  Larger n find the set
+    bits in ascending order by str.rfind on the binary string while a
+    column pointer advances with them, which is linear in the mask's
+    length.
     """
+    if n <= 62:
+        return list(compress(_PAIRS, bin(mask)[:1:-1].encode().translate(_BIT)))
     edges: list[tuple[int, int]] = []
     bits = bin(mask)  # bit k of mask is bits[len(bits) - 1 - k]
     # column v is bits[lim + 1 .. base], and bits[base - u] is edge (u, v)

@@ -66,7 +66,7 @@ class RewriteSpec:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RewriteResult:
     """One rewrite of source, scored in source's own labels.
 
@@ -87,6 +87,18 @@ class RewriteResult:
     em1_after: int
     top: tuple[int, ...]
     fused: tuple[int, ...]
+
+    def __init__(
+        self,
+        source: Graph,
+        pairs: list[tuple[int, int]],
+        em1_after: int,
+        top: tuple[int, ...],
+        fused: tuple[int, ...],
+    ) -> None:
+        # one dict update, where the frozen dataclass's own __init__ would
+        # pay object.__setattr__ per field; assignment still raises
+        vars(self).update(source=source, pairs=pairs, em1_after=em1_after, top=top, fused=fused)
 
     @cached_property
     def _relabeled(self) -> tuple[dict[int, int], list[tuple[int, int]]]:

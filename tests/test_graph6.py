@@ -171,12 +171,19 @@ def _builder_cases():
         for mask in range(1 << (n * (n - 1) // 2)):
             yield n, mask
     rng = random.Random(406)
-    # 62/63/64 straddle the 1-byte / 4-byte size prefix
-    for n in (7, 12, 40, 62, 63, 64, 300):
+    # 62/63/64 straddle the 1-byte / 4-byte size prefix, where mask_edges
+    # hands over from its pair table to the bit scan
+    for n in (7, 12, 40, 61, 62, 63, 64, 300):
         nbits = n * (n - 1) // 2
         yield n, rng.getrandbits(nbits)
         yield n, sum(1 << k for k in rng.sample(range(nbits), n))
         yield n, (1 << nbits) - 1 - (1 << rng.randrange(nbits))
+    yield 1, 0
+    for n in (62, 63):
+        nbits = n * (n - 1) // 2
+        yield n, 0
+        yield n, (1 << nbits) - 1  # the whole triangle, K_n
+        yield n, 1 << (nbits - 1)  # only the triangle's top bit, edge (n-2, n-1)
 
 
 def test_mask_builder_matches_table_lookup():
@@ -198,6 +205,18 @@ def test_mask_builder_matches_table_lookup():
             assert g.n == ref.n and g.edges == ref.edges, (n, mask)
             for v in range(n):
                 assert g.neighbors(v) == ref.neighbors(v), (n, mask, v)
+
+
+@pytest.mark.parametrize("n", [7, 62, 63])
+def test_mask_edges_lists_are_the_callers_own(n):
+    # the pairs come from a table shared by every call; a caller that
+    # edits its list must not reach the table or the next call's list
+    mask = (1 << n * (n - 1) // 2) - 1
+    want = mask_edges(n, mask)
+    mask_edges(n, mask).append((0, 0))
+    assert mask_edges(n, mask) == want
+    mask_edges(n, mask).clear()
+    assert mask_edges(n, mask) == want == _table_pairs(n, mask)
 
 
 def test_mask_builds_go_through_from_edges(monkeypatch):

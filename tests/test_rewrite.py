@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
 import pytest
@@ -28,6 +29,7 @@ from zagreb import (
 )
 from zagreb.enumeration import _class_levels
 from zagreb.graph6 import graph_of_mask
+from zagreb.rewrite import RewriteResult
 from util import all_pairs, bf_connected_all_m, naive_em1, relabeled
 
 TRIANGLE_PENDANT = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
@@ -268,6 +270,22 @@ def test_result_builds_its_graph_once_on_first_read(monkeypatch):
     assert calls == [5]
     assert res.graph is first
     assert calls == [5]
+
+
+def test_result_is_frozen_and_compares_by_value():
+    # results stay immutable to callers, however their __init__ fills them
+    spec = RewriteSpec(kind="IV", u=1, v=3)
+    res = apply_rewrite(path_graph(5), spec)
+    for name in ("source", "pairs", "em1_after", "top", "fused"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(res, name)
+    assert res.em1_after == 18
+    twin = apply_rewrite(path_graph(5), spec)
+    res.graph  # a field built on read takes no part in equality
+    assert twin == res and twin is not res
+    assert res != RewriteResult(res.source, res.pairs, 19, res.top, res.fused)
 
 
 def test_rewrites_move_em1_the_right_way():
