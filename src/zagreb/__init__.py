@@ -5,14 +5,14 @@ extremal families, exhaustive connected-graph enumeration, and the
 theorem/lemma verification harness behind the `zagreb` CLI.
 """
 
-from ._kernel import BACKEND
+import os
+
 from .canon import CANON_LIMIT, canonical_form
 from .enumeration import (
     EnumSpec,
     ExtremalReport,
     brace_census,
     connected_classes,
-    enumerate_connected,
     extremal_scan,
 )
 from .families import (
@@ -68,6 +68,14 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# the class path is pure Python, so "py" is the only backend; ZAGREB_KERNEL
+# may be unset, empty or "py", and any other value fails the import loudly
+BACKEND = "py"
+
+_forced = os.environ.get("ZAGREB_KERNEL", "").strip().lower()
+if _forced not in ("", "py"):
+    raise ImportError(f"ZAGREB_KERNEL must be 'py' or unset, got {_forced!r}")
+
 __all__ = [
     "BACKEND",
     "CANON_LIMIT",
@@ -99,7 +107,6 @@ __all__ = [
     "edge_degree",
     "em1",
     "em2",
-    "enumerate_connected",
     "expected_em1",
     "extremal_scan",
     "find_applicable",

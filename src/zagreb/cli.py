@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 
@@ -223,6 +224,9 @@ def _cmd_brace_census(args) -> int:
     return 0
 
 
+# built once per process: its handlers and choices are fixed at import, and
+# the handlers look up what they call at call time
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zagreb",

@@ -11,18 +11,19 @@ the labeled graphs, so `visited` stays the labeled count.  Nothing is
 cached between calls.
 
 Each class is met once, along McKay's canonical construction path
-("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  A
-parent is augmented once per orbit of its automorphism group: a leaf on
-the lowest vertex of each vertex orbit, a new edge at the lowest index
-of each non-edge orbit.  A child is kept only when what was added lies
-in the Aut(child)-orbit of the child's canonical deletion:
-
-- on edge levels, among the non-bridge edges uv that maximise
-  (d(u)+d(v), min d, s(u)+s(v), min s), the one with the lowest
-  canonical edge index, where d is the degree and s(x) the sum of x's
-  neighbours' degrees;
-- on tree levels, among the leaves whose neighbour maximises (d, s),
-  the one at the lowest canonical position.
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Both
+augmentations add a vertex pair (u, v), u < v: a leaf k-1 hung on v is
+the pair (v, k-1), a new edge is a non-edge.  A parent is augmented once
+per orbit of its automorphism group on those pairs (its generators
+extended to fix k-1 on tree levels), at the orbit's lowest index.  A
+child is kept only when its new edge lies in the Aut(child)-orbit of
+the child's canonical deletion: among the removable edges uv that
+maximise (d(u)+d(v), min d, s(u)+s(v), min s), the one with the lowest
+canonical edge index, where d is the degree and s(x) the sum of x's
+neighbours' degrees.  The removable edges are the non-bridge edges on
+edge levels and the pendant edges on tree levels; a pendant edge wy, w
+the leaf, is scored (d(y), s(y)), which orders pendant edges as the key
+does, since d(w) = 1 and s(w) = d(y) <= s(y).
 
 Deleting it leaves a connected class of the level before, and the
 deletion is fixed up to an automorphism, so each class is kept from
@@ -58,12 +59,11 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
-from . import _kernel
 # perfbench/tracer.py wraps canonical_form and _from_edges in each module
 # that imports them
 from .canon import CANON_LIMIT, _canonical_search, canonical_form  # noqa: F401
 from .graph import GraphError, _from_edges  # noqa: F401
-from .graph6 import edge_table, encode_mask, graph_of_mask, mask_edges, mask_rows
+from .graph6 import edge_table, encode_mask, mask_edges, mask_rows
 from .indices import _formula, degrees
 
 # the order policy: c -> (highest n admitted freely, highest with allow_large)
@@ -228,43 +228,34 @@ def _labeled_members(n: int, masks) -> list[int]:
     return sorted(members, key=lambda k: f"{k:0{width}b}"[::-1], reverse=True)
 
 
-def _orbit(point, perms) -> set[int]:
-    """The orbit of point under the group the perms generate."""
-    seen = {point}
-    stack = [point]
+def _orbit(pair, perms) -> set[tuple[int, int]]:
+    """The orbit of the pair (u, v), u < v, under the group the perms generate."""
+    seen = {pair}
+    stack = [pair]
     while stack:
-        q = stack.pop()
+        u, v = stack.pop()
         for perm in perms:
-            r = perm[q]
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
+            a, b = perm[u], perm[v]
+            q = (a, b) if a < b else (b, a)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
     return seen
 
 
-def _orbit_reps(points, perms) -> list[int]:
-    """The lowest point of each orbit of the group the perms generate.
+def _orbit_reps(pairs, perms) -> list[tuple[int, int]]:
+    """The first pair met of each orbit of the group the perms generate.
 
-    points is ascending and closed under every perm; the result is
-    ascending too.
+    pairs is in column order and closed under every perm, so each orbit
+    is named by its lowest index; the result is in column order too.
     """
-    reps: list[int] = []
-    seen: set[int] = set()
-    for p in points:
+    reps: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for p in pairs:
         if p not in seen:
             reps.append(p)
             seen |= _orbit(p, perms)
     return reps
-
-
-def _pair_perm(perm, pairs) -> tuple[int, ...]:
-    # the vertex permutation's action on the indices of the edge table pairs
-    # (a plain loop: half the time of nested generators)
-    images = []
-    for u, v in pairs:
-        a, b = perm[u], perm[v]
-        images.append(a * (a - 1) // 2 + b if a > b else b * (b - 1) // 2 + a)
-    return tuple(images)
 
 
 def _bridge_sides(n: int, rows) -> dict[tuple[int, int], int]:
@@ -309,34 +300,53 @@ def _collect(children):
     return classes, gens
 
 
+def _canonical_child(n: int, adj, tied):
+    """(canonical mask, |Aut|, generators) of the child adj, or None.
+
+    tied lists the child's removable edges that score as high as its new
+    edge, the new edge first.  The canonical deletion is the tied edge of
+    lowest canonical index, i.e. lowest (b, a) once each edge is mapped
+    to canonical positions (a, b), a < b; the child is kept when its new
+    edge lies in the Aut-orbit of that deletion.
+    """
+    form, aut, cperms, pos = _canonical_search(n, adj)
+    if len(tied) > 1:
+        ranked = [tuple(sorted((pos[u], pos[v]))) for u, v in tied]
+        first = min(ranked, key=lambda pair: pair[::-1])
+        if ranked[0] not in _orbit(first, cperms):
+            return None
+    return form, aut, cperms
+
+
 def _leaf_children(k: int, parents):
     """(canonical mask, |Aut|, generators) of each tree on k vertices.
 
     parents maps the canonical mask of each tree on k-1 vertices to its
-    Aut generators; leaf k-1 is hung on each vertex orbit's lowest member
-    and kept when it lies in the orbit of the canonical leaf.
+    Aut generators; the new leaf is the pair (v, k-1), hung on the lowest
+    v of each orbit of the generators extended to fix k-1, and kept when
+    it lies in the orbit of the canonical deletion among the pendant edges.
     """
     for mask, perms in parents.items():
         # the mask on k-1 vertices is the same mask on k, vertex k-1 isolated
         rows = mask_rows(k, mask)
-        for v in _orbit_reps(range(k - 1), perms):
+        fixed = [perm + (k - 1,) for perm in perms]
+        for v, _ in _orbit_reps([(v, k - 1) for v in range(k - 1)], fixed):
             adj = rows[:]
             adj[v] = rows[v] + [k - 1]
             adj[k - 1] = [v]
             deg = list(map(len, adj))
-            # each leaf w scores (d, s) of its neighbour y
+            # each pendant edge wy, w the leaf, scores (d, s) of y
+            top = (deg[v], sum([deg[x] for x in adj[v]]))
             score = {
-                w: (deg[y], sum([deg[x] for x in adj[y]]))
-                for w in range(k) if deg[w] == 1 for y in adj[w]
+                (w, y): (deg[y], sum([deg[x] for x in adj[y]]))
+                for w in range(k - 1) if deg[w] == 1 for y in adj[w]
             }
-            top = score[k - 1]
-            if max(score.values()) > top:
+            if max(score.values(), default=top) > top:
                 continue
-            form, aut, cperms, pos = _canonical_search(k, adj)
-            # the canonical leaf: the tied leaf of lowest canonical position
-            ranks = [pos[w] for w, key in score.items() if key == top]
-            if pos[k - 1] in _orbit(min(ranks), cperms):
-                yield form, aut, cperms
+            tied = [(k - 1, v)] + [edge for edge, key in score.items() if key == top]
+            child = _canonical_child(k, adj, tied)
+            if child is not None:
+                yield child
 
 
 def _edge_children(n: int, parents, pairs):
@@ -345,9 +355,8 @@ def _edge_children(n: int, parents, pairs):
     parents maps the canonical mask of each connected class with m edges
     to its Aut generators; a new edge goes in at the lowest index of each
     non-edge orbit and is kept when it lies in the orbit of the canonical
-    deletion.
+    deletion among the non-bridge edges.
     """
-    full = len(pairs)
     for mask, perms in parents.items():
         rows = mask_rows(n, mask)
         deg = list(map(len, rows))
@@ -357,11 +366,9 @@ def _edge_children(n: int, parents, pairs):
         # adding uv makes no bridge and lowers no degree, so a non-bridge
         # edge of degree sum above d(u)+d(v)+2 outscores uv in the child
         gate = max([deg[a] + deg[b] for a, b in edges if (a, b) not in sides], default=0)
-        for j in _orbit_reps(
-            [j for j in range(full) if not mask >> j & 1],
-            [_pair_perm(perm, pairs) for perm in perms],
+        for u, v in _orbit_reps(
+            [pair for j, pair in enumerate(pairs) if not mask >> j & 1], perms
         ):
-            u, v = pairs[j]
             if gate > deg[u] + deg[v] + 2:
                 continue
             d = deg[:]
@@ -380,13 +387,9 @@ def _edge_children(n: int, parents, pairs):
             adj = rows[:]
             adj[u] = rows[u] + [v]
             adj[v] = rows[v] + [u]
-            form, aut, cperms, pos = _canonical_search(n, adj)
-            if len(tied) > 1:
-                # the canonical deletion: the tied edge of lowest canonical index
-                ranks = _pair_perm(pos, tied)
-                if ranks[0] not in _orbit(min(ranks), [_pair_perm(p, pairs) for p in cperms]):
-                    continue
-            yield form, aut, cperms
+            child = _canonical_child(n, adj, tied)
+            if child is not None:
+                yield child
 
 
 def _ties(edges, sides, d, s, u, v):
@@ -449,14 +452,6 @@ def connected_classes(n: int, m: int) -> dict[int, int]:
     for level_m, level in _class_levels(n):
         if level_m == m:
             return level
-
-
-def enumerate_connected(spec: EnumSpec, visitor) -> int:
-    """Stream every labeled connected (n, m) graph to visitor; return the count."""
-    n = spec.n
-    return _kernel.visit_connected(
-        n, spec.m, 0, None, lambda mask: visitor(graph_of_mask(n, mask))
-    )
 
 
 def brace_census(spec: EnumSpec) -> tuple[str, ...]:

@@ -12,8 +12,8 @@ lower neighbours of v.  mask_edges(), the package's one mask walk, finds
 the set bits once, with no sort, and hands on the edges in index order.
 For every n with the one-byte size prefix (n <= 62) it selects them from
 one shared table of the first C(62, 2) pairs in a single C-level pass;
-larger n find each set bit with str.rfind, since a table for them would
-grow with n**2.  The index formulas score those edges directly;
+larger n, for which a table would grow with n**2, read the set bits of
+the mask's nonzero bytes.  The index formulas score those edges directly;
 mask_rows() turns them into neighbour lists, which the canonical search
 reads; and graph_of_mask(), the one mask -> Graph path, hands them to
 graph._from_edges, which builds the Graph's rows and sorted edge tuple.
@@ -68,26 +68,28 @@ def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
     The edges come out in index (column) order.  For n <= 62 the binary
     string, reversed so that character k is bit k, becomes a 0/1 byte
     selector, and itertools.compress picks the pairs of _PAIRS at its set
-    bytes: one C-level pass, and no pair built.  Larger n find the set
-    bits in ascending order by str.rfind on the binary string while a
-    column pointer advances with them, which is linear in the mask's
-    length.
+    bytes: one C-level pass, and no pair built.  Larger n take the mask's
+    little-endian bytes, let itertools.compress pick out the nonzero ones,
+    and read their set bits in ascending order while a column pointer
+    advances with them, so no string of one character per bit is built.
     """
     if n <= 62:
         return list(compress(_PAIRS, bin(mask)[:1:-1].encode().translate(_BIT)))
     edges: list[tuple[int, int]] = []
-    bits = bin(mask)  # bit k of mask is bits[len(bits) - 1 - k]
-    # column v is bits[lim + 1 .. base], and bits[base - u] is edge (u, v)
-    v = 0
-    base = lim = len(bits) - 1
-    at = bits.rfind("1", 2)
-    while at > 1:
-        while at <= lim:
-            v += 1
-            base = lim
-            lim -= v
-        edges.append((base - at, v))
-        at = bits.rfind("1", 2, at)
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    # column v holds the indices start .. start+v-1, and index k is edge (k - start, v)
+    v = 1
+    start = 0
+    for i in compress(range(len(data)), data):
+        byte = data[i]
+        while byte:
+            low = byte & -byte
+            byte ^= low
+            k = (i << 3) + low.bit_length() - 1
+            while k >= start + v:
+                start += v
+                v += 1
+            edges.append((k - start, v))
     return edges
 
 

@@ -166,22 +166,52 @@ def test_weights_sum_to_the_labeled_counts(levels):
         assert _digest(classes) == LEVELS_N8_C3_DIGESTS[m], m
 
 
-def test_n9_levels_pinned_by_content():
-    # the c <= 3 levels at n = 9: content digests, the cycle-index counts
-    # and the labeled recurrence's weights
+def _count_searches(monkeypatch) -> list[int]:
+    # one entry per canonical search class generation runs
+    calls: list[int] = []
+    search = enumeration._canonical_search
+
+    def counted(n, adj):
+        calls.append(n)
+        return search(n, adj)
+
+    monkeypatch.setattr(enumeration, "_canonical_search", counted)
+    return calls
+
+
+# canonical searches while _class_levels(n) builds its c <= 3 levels; a
+# weaker gate or score filter would raise them while every class stayed right
+SEARCHES_C3 = {6: 72, 9: 3_589, 10: 13_625}
+
+
+def test_n6_levels_take_the_pinned_number_of_searches(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    levels = list(islice(_class_levels(6), 4))
+    assert [len(classes) for _, classes in levels] == CYCLE_INDEX[6][5:9]
+    assert len(calls) == SEARCHES_C3[6]
+
+
+def test_n9_levels_pinned_by_content(monkeypatch):
+    # the c <= 3 levels at n = 9: content digests, the cycle-index counts,
+    # the labeled recurrence's weights and the number of canonical searches
+    calls = _count_searches(monkeypatch)
     order = math.factorial(9)
     labeled = labeled_connected_counts(9)[9]
     levels = list(islice(_class_levels(9), 4))
+    assert len(calls) == SEARCHES_C3[9]
     assert [len(classes) for _, classes in levels] == list(CLASSES_C3[9])
     for m, classes in levels:
         assert sum(order // aut for aut in classes.values()) == labeled[m], m
         assert _digest(classes) == LEVELS_N9_C3_DIGESTS[m], m
 
 
-def test_n10_levels_match_the_cycle_index_and_the_recurrence():
-    # the c <= 3 levels at n = 10: class counts and n!/|Aut| weights
+def test_n10_levels_match_the_cycle_index_and_the_recurrence(monkeypatch):
+    # the c <= 3 levels at n = 10: class counts, n!/|Aut| weights and the
+    # number of canonical searches that built them
+    calls = _count_searches(monkeypatch)
     order = math.factorial(10)
     levels = list(islice(_class_levels(10), 4))
+    assert len(calls) == SEARCHES_C3[10]
     assert [len(classes) for _, classes in levels] == list(CLASSES_C3[10])
     weights = [sum(order // aut for aut in classes.values()) for _, classes in levels]
     assert weights == labeled_connected_counts(10)[10][9:13]

@@ -13,13 +13,13 @@ from zagreb import (
     canonical_form,
     compute_index,
     cycle_graph,
-    enumerate_connected,
     extremal_scan,
     graph6_decode,
     s_n_k4,
     s_n_m,
 )
 from zagreb import _kernel
+from zagreb.graph6 import graph_of_mask
 from util import bf_connected, naive_em1, naive_em2, naive_m1, naive_m2
 
 NAIVE = {"m1": naive_m1, "m2": naive_m2, "em1": naive_em1, "em2": naive_em2}
@@ -71,7 +71,9 @@ def test_enumeration_matches_brute_force():
             except GraphError:
                 continue
             got = set()
-            enumerate_connected(spec, lambda g: got.add(g.edges))
+            _kernel.visit_connected(
+                n, spec.m, 0, None, lambda mask: got.add(graph_of_mask(n, mask).edges)
+            )
             want = {g.edges for g in bf_connected(n, spec.m)}
             assert got == want, (n, c)
 
@@ -152,11 +154,12 @@ def test_visitor_streams_valid_graphs():
     spec = EnumSpec(n=6, c=1)
     seen = []
 
-    def visitor(g):
+    def visitor(mask):
+        g = graph_of_mask(6, mask)
         assert g.n == 6 and g.m == 6
         seen.append(g)
 
-    count = enumerate_connected(spec, visitor)
+    count = _kernel.visit_connected(6, spec.m, 0, None, visitor)
     rep = extremal_scan(spec, "em1")
     assert count == len(seen) == rep.visited
 
@@ -303,3 +306,16 @@ def test_kernel_env_override():
             env=env,
         )
         assert out.returncode != 0 and "ZAGREB_KERNEL" in out.stderr, value
+
+
+def test_package_import_leaves_the_labeled_kernel_unloaded():
+    # the class path walks no labeled graphs, so neither the package nor
+    # its CLI loads the labeled walk
+    code = (
+        "import sys, zagreb, zagreb.cli; "
+        "print(sorted({'zagreb._kernel', 'zagreb._corepy'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,23 @@ def test_mask_edges_lists_are_the_callers_own(n):
     assert mask_edges(n, mask) == want
     mask_edges(n, mask).clear()
     assert mask_edges(n, mask) == want == _table_pairs(n, mask)
+
+
+def test_large_mask_walk_builds_no_string_per_bit():
+    # a 3,000-vertex star centred on vertex 0 has one edge per column, so
+    # its mask spans C(3000, 2) ~ 4.5M bits; a walk over bin(mask) holds one
+    # character per bit, while the mask's own bytes are an eighth of that
+    n = 3000
+    nbits = n * (n - 1) // 2
+    star = sum(1 << (v * (v - 1) // 2) for v in range(1, n))
+    tracemalloc.start()
+    try:
+        edges = mask_edges(n, star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == [(0, v) for v in range(1, n)]
+    assert peak < nbits // 4, peak
 
 
 def test_mask_builds_go_through_from_edges(monkeypatch):
