@@ -19,9 +19,10 @@ scan_extremal scores a mask from its edge list, with no Graph built, as
 indices._formula(index)(degrees(n, edges), edges) over the edges of
 graph6.mask_edges(n, mask).
 
-This is the package's one enumeration kernel.  Callers reach it through
-_kernel, and the test suite checks its walk, slices and scans against
-brute force on every n <= 6.
+No scan or sweep of the package runs this walk: it is the test suite's
+labeled oracle for class generation, and perfbench imports it.  Callers
+reach it through _kernel, and the test suite checks its walk, slices and
+scans against brute force on every n <= 6.
 """
 
 from __future__ import annotations

@@ -13,31 +13,29 @@ cached between calls.
 Each class is met once, along McKay's canonical construction path
 ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Both
 augmentations add a vertex pair (u, v), u < v: a leaf k-1 hung on v is
-the pair (v, k-1), a new edge is a non-edge.  A parent is augmented once
-per orbit of its automorphism group on those pairs (its generators
-extended to fix k-1 on tree levels), at the orbit's lowest index.  A
-child is kept only when its new edge lies in the Aut(child)-orbit of
-the child's canonical deletion: among the removable edges uv that
-maximise (d(u)+d(v), min d, s(u)+s(v), min s), the one with the lowest
-canonical edge index, where d is the degree and s(x) the sum of x's
-neighbours' degrees.  The removable edges are the non-bridge edges on
-edge levels and the pendant edges on tree levels; a pendant edge wy, w
-the leaf, is scored (d(y), s(y)), which orders pendant edges as the key
-does, since d(w) = 1 and s(w) = d(y) <= s(y).
+the pair (v, k-1), a new edge is a non-edge.  A parent is augmented
+once per orbit of its automorphism group on those pairs (its generators
+extended to fix k-1 on tree levels), at the orbit's lowest index.  One
+growth step, _grow, builds either child with its degrees d and
+neighbour-degree sums s (s(x) sums the degrees of x's neighbours) by +1
+updates of the parent's.  A child is kept only when its new edge lies
+in the Aut(child)-orbit of the child's canonical deletion: among the
+removable edges uv that maximise (d(u)+d(v), min d, s(u)+s(v), min s),
+the one with the lowest canonical edge index.  The removable edges are
+the pendant edges on tree levels and the non-bridge edges on edge
+levels, and one tie test, _ties, ranks both.
 
 Deleting it leaves a connected class of the level before, and the
 deletion is fixed up to an automorphism, so each class is kept from
 exactly one parent and one orbit of its augmentations.
 
 The invariant settles most candidates before any search (McKay &
-Piperno, "Practical graph isomorphism, II", 2014).  Per parent, the
-gate holds its degrees, neighbour-degree sums and bridges, each with
-the vertices on one side of it, and the largest degree sum of a
-non-bridge edge.  Adding an edge makes no bridge and lowers no degree,
-so a new edge uv is rejected at once when that sum exceeds
-d(u)+d(v)+2.  Otherwise the child's degrees and sums follow from the
-parent's by +1 updates, and a parent bridge stays one exactly when u
-and v lie on the same side of it.  Only an edge that no rival beats
+Piperno, "Practical graph isomorphism, II", 2014).  An edge-level
+parent's gate is the largest degree sum of its non-bridge edges: adding
+an edge makes no bridge and lowers no degree, so a new edge uv is
+rejected at once when that sum exceeds d(u)+d(v)+2.  Each parent bridge
+is kept with the vertices on one side of it, and stays a bridge exactly
+when u and v lie on the same side.  Only an edge that no rival beats
 reaches the canonical search, whose labeling names the canonical
 deletion among the tied edges and whose generators decide the orbit.
 
@@ -318,6 +316,31 @@ def _canonical_child(n: int, adj, tied):
     return form, aut, cperms
 
 
+def _grow(rows, deg, nsum, u, v):
+    """The rows, degrees and neighbour-degree sums of the parent's plus uv."""
+    adj = rows[:]
+    adj[u] = rows[u] + [v]
+    adj[v] = rows[v] + [u]
+    d = deg[:]
+    d[u] += 1
+    d[v] += 1
+    s = nsum[:]
+    for w in rows[u]:
+        s[w] += 1
+    for w in rows[v]:
+        s[w] += 1
+    s[u] += d[v]
+    s[v] += d[u]
+    return adj, d, s
+
+
+def _parent(n: int, mask: int):
+    # the rows, degrees and neighbour-degree sums _grow starts from
+    rows = mask_rows(n, mask)
+    deg = list(map(len, rows))
+    return rows, deg, [sum([deg[w] for w in row]) for row in rows]
+
+
 def _leaf_children(k: int, parents):
     """(canonical mask, |Aut|, generators) of each tree on k vertices.
 
@@ -328,25 +351,16 @@ def _leaf_children(k: int, parents):
     """
     for mask, perms in parents.items():
         # the mask on k-1 vertices is the same mask on k, vertex k-1 isolated
-        rows = mask_rows(k, mask)
+        rows, deg, nsum = _parent(k, mask)
         fixed = [perm + (k - 1,) for perm in perms]
-        for v, _ in _orbit_reps([(v, k - 1) for v in range(k - 1)], fixed):
-            adj = rows[:]
-            adj[v] = rows[v] + [k - 1]
-            adj[k - 1] = [v]
-            deg = list(map(len, adj))
-            # each pendant edge wy, w the leaf, scores (d, s) of y
-            top = (deg[v], sum([deg[x] for x in adj[v]]))
-            score = {
-                (w, y): (deg[y], sum([deg[x] for x in adj[y]]))
-                for w in range(k - 1) if deg[w] == 1 for y in adj[w]
-            }
-            if max(score.values(), default=top) > top:
-                continue
-            tied = [(k - 1, v)] + [edge for edge, key in score.items() if key == top]
-            child = _canonical_child(k, adj, tied)
-            if child is not None:
-                yield child
+        for v, leaf in _orbit_reps([(v, k - 1) for v in range(k - 1)], fixed):
+            adj, d, s = _grow(rows, deg, nsum, leaf, v)
+            pendant = [(w, adj[w][0]) for w in range(leaf) if d[w] == 1]
+            tied = _ties(pendant, {}, d, s, leaf, v)
+            if tied is not None:
+                child = _canonical_child(k, adj, tied)
+                if child is not None:
+                    yield child
 
 
 def _edge_children(n: int, parents, pairs):
@@ -358,9 +372,7 @@ def _edge_children(n: int, parents, pairs):
     deletion among the non-bridge edges.
     """
     for mask, perms in parents.items():
-        rows = mask_rows(n, mask)
-        deg = list(map(len, rows))
-        nsum = [sum([deg[w] for w in row]) for row in rows]
+        rows, deg, nsum = _parent(n, mask)
         edges = [(a, b) for b, row in enumerate(rows) for a in row if a < b]
         sides = _bridge_sides(n, rows)
         # adding uv makes no bridge and lowers no degree, so a non-bridge
@@ -371,34 +383,21 @@ def _edge_children(n: int, parents, pairs):
         ):
             if gate > deg[u] + deg[v] + 2:
                 continue
-            d = deg[:]
-            d[u] += 1
-            d[v] += 1
-            s = nsum[:]
-            for w in rows[u]:
-                s[w] += 1
-            for w in rows[v]:
-                s[w] += 1
-            s[u] += d[v]
-            s[v] += d[u]
+            adj, d, s = _grow(rows, deg, nsum, u, v)
             tied = _ties(edges, sides, d, s, u, v)
-            if tied is None:
-                continue
-            adj = rows[:]
-            adj[u] = rows[u] + [v]
-            adj[v] = rows[v] + [u]
-            child = _canonical_child(n, adj, tied)
-            if child is not None:
-                yield child
+            if tied is not None:
+                child = _canonical_child(n, adj, tied)
+                if child is not None:
+                    yield child
 
 
 def _ties(edges, sides, d, s, u, v):
-    """The child's non-bridge edges that score as high as its new edge uv.
+    """The child's removable edges that score as high as its new edge uv.
 
-    The list starts with uv; None when some non-bridge edge scores higher.
-    d and s are the child's degrees and neighbour-degree sums; an edge of
-    the parent that sides names is still a bridge when u and v lie on the
-    same side of it.
+    The list starts with uv; None when a removable edge scores higher.
+    d and s are the child's degrees and neighbour-degree sums; edges are
+    the other candidates, and one that sides names is still a bridge
+    when u and v lie on the same side of it.
     """
     du, dv, su, sv = d[u], d[v], s[u], s[v]
     top = (du + dv, min(du, dv), su + sv, min(su, sv))

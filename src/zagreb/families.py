@@ -154,10 +154,9 @@ def expected_em1(symbol: str, n: int) -> int:
 
 
 def reference(symbol: str) -> ReferenceValue:
-    ref = _REFERENCES.get(symbol)
-    if ref is None:
+    if symbol not in FAMILY_SYMBOLS:
         raise GraphError(f"unknown family symbol {symbol!r}, known: {FAMILY_SYMBOLS}")
-    return ref
+    return _REFERENCES[symbol]
 
 
 # Constructors for the symbols that have one; m is a function of n here.

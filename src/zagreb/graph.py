@@ -136,6 +136,10 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"need at least one vertex, got n={n!r}")
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise GraphError(f"edges must be an iterable of pairs, got {edges!r}") from None
     # in input order, so each adjacency set is filled as the caller listed it
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

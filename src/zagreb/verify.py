@@ -133,7 +133,7 @@ def verify_theorem(claim, ns=None, allow_large=False) -> VerdictReport:
     ns is a range or an iterable of plain ints, and allow_large a bool;
     every order is checked before any scan starts.
     """
-    if claim not in _THEOREMS:
+    if claim not in THEOREM_CLAIMS:
         raise GraphError(f"unknown theorem claim {claim!r}, choose from {THEOREM_CLAIMS}")
     cfg = _THEOREMS[claim]
     ns = range(4, 9) if ns is None else ns
@@ -359,7 +359,7 @@ def _sweep(claims, trials, seed, enum_max) -> dict[str, VerdictReport]:
 
 def verify_lemma(claim, trials=1000, seed=0, enum_max=7) -> VerdictReport:
     """Sweep one operation over the corpus and check strict monotonicity."""
-    if claim not in _LEMMAS:
+    if claim not in LEMMA_CLAIMS:
         raise GraphError(f"unknown lemma claim {claim!r}, choose from {LEMMA_CLAIMS}")
     return _sweep((claim,), trials, seed, enum_max)[claim]
 

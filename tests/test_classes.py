@@ -218,6 +218,23 @@ def test_n10_levels_match_the_cycle_index_and_the_recurrence(monkeypatch):
     assert weights == [100_000_000, 880_107_840, 4_432_075_200, 16_530_124_800]
 
 
+# trees on n = 1..12 vertices (OEIS A000055), past the edge levels' cap
+TREE_CLASSES = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+
+
+def test_tree_levels_match_the_cycle_index_and_cayley():
+    # the first level _class_levels(n) yields is the trees, built before any
+    # edge level: one class per tree and n!/|Aut| weights summing to n^(n-2)
+    unlabeled = unlabeled_connected_counts(12)
+    labeled = labeled_connected_counts(12)
+    assert tuple(unlabeled[n][n - 1] for n in range(1, 13)) == TREE_CLASSES
+    for n in range(1, 13):
+        m, trees = next(_class_levels(n))
+        assert (m, len(trees)) == (n - 1, TREE_CLASSES[n - 1]), n
+        weight = sum(math.factorial(n) // aut for aut in trees.values())
+        assert weight == labeled[n][n - 1] == max(1, n ** (n - 2)), n
+
+
 def test_a_class_kept_twice_raises(monkeypatch):
     # without the parent-side orbit step, two augmentations in one orbit
     # both pass the canonical-deletion test; a level that let the second

@@ -96,8 +96,12 @@ def test_reference_registry():
     assert ref.min_n == 5
     with pytest.raises(GraphError, match="registered for n >= 5"):
         expected_em1("snm3", 4)
-    with pytest.raises(GraphError, match="unknown family symbol"):
-        expected_em1("frobnicate", 6)
+    # an unknown symbol, hashable or not, gets the one unknown-symbol error
+    for symbol in ("frobnicate", ["path"]):
+        for lookup in (reference, lambda s: expected_em1(s, 5)):
+            with pytest.raises(GraphError) as exc:
+                lookup(symbol)
+            assert str(exc.value).startswith(f"unknown family symbol {symbol!r}, known: (")
 
 
 def test_tricyclic_candidates_stay_below_the_maximum():

@@ -44,6 +44,7 @@ def test_make_graph_normalizes_and_orders():
         (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertices"),
         (3, [(0,)], "edge (0,) is not a pair of vertices"),
         (3, [5], "edge 5 is not a pair of vertices"),
+        (3, 5, "edges must be an iterable of pairs, got 5"),
     ],
 )
 def test_make_graph_rejects(n, edges, fragment):

@@ -33,10 +33,16 @@ from util import naive_em1
 def test_claim_rosters():
     assert THEOREM_CLAIMS == tuple(f"theorem-{i}" for i in range(1, 6))
     assert LEMMA_CLAIMS == tuple(f"lemma-{i}" for i in range(1, 5))
-    with pytest.raises(GraphError, match="unknown theorem claim"):
-        verify_theorem("theorem-9")
-    with pytest.raises(GraphError, match="unknown lemma claim"):
-        verify_lemma("lemma-9")
+    # an unknown claim, hashable or not, gets the one unknown-claim error
+    for check, claim, message in [
+        (verify_theorem, "theorem-9", "unknown theorem claim 'theorem-9'"),
+        (verify_theorem, ["theorem-1"], "unknown theorem claim ['theorem-1']"),
+        (verify_lemma, "lemma-9", "unknown lemma claim 'lemma-9'"),
+        (verify_lemma, ["lemma-1"], "unknown lemma claim ['lemma-1']"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            check(claim)
+        assert str(exc.value).startswith(message + ", choose from (")
     with pytest.raises(GraphError, match="n >= 4"):
         verify_theorem("theorem-1", ns=[3, 4])
 
