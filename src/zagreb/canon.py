@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _graph
 from .graph6 import encode_mask
 
 CANON_LIMIT = 10
@@ -75,6 +75,7 @@ def canonical_form(g: Graph) -> str:
 
     Raises GraphError when g has more than CANON_LIMIT (10) vertices.
     """
+    _graph(g)
     if g.n > CANON_LIMIT:
         raise GraphError(f"canonical form capped at {CANON_LIMIT} vertices, got {g.n}")
     return encode_mask(g.n, _canonical_search(g.n, g._adj)[0])

@@ -52,7 +52,10 @@ def _parse_ns(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_vertex_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_vertex_list(text: str | None, flag: str) -> tuple[int, ...] | None:
+    # None is a flag not given; "" is given and empty, and fails below
+    if text is None:
+        return None
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
@@ -128,9 +131,9 @@ def _cmd_transform(args) -> int:
         kind=args.op,
         u=args.u,
         v=args.v,
-        path=_parse_vertex_list(args.path, "--path") if args.path else None,
+        path=_parse_vertex_list(args.path, "--path"),
         root=args.root,
-        subtree=_parse_vertex_list(args.subtree, "--subtree") if args.subtree else None,
+        subtree=_parse_vertex_list(args.subtree, "--subtree"),
         reattach=args.reattach,
     )
     res = apply_rewrite(g, spec)

@@ -15,15 +15,19 @@ Each class is met once, along McKay's canonical construction path
 augmentations add a vertex pair (u, v), u < v: a leaf k-1 hung on v is
 the pair (v, k-1), a new edge is a non-edge.  A parent is augmented
 once per orbit of its automorphism group on those pairs (its generators
-extended to fix k-1 on tree levels), at the orbit's lowest index.  One
-growth step, _grow, builds either child with its degrees d and
-neighbour-degree sums s (s(x) sums the degrees of x's neighbours) by +1
-updates of the parent's.  A child is kept only when its new edge lies
-in the Aut(child)-orbit of the child's canonical deletion: among the
-removable edges uv that maximise (d(u)+d(v), min d, s(u)+s(v), min s),
-the one with the lowest canonical edge index.  The removable edges are
-the pendant edges on tree levels and the non-bridge edges on edge
-levels, and one tie test, _ties, ranks both.
+extended to fix k-1 on tree levels), at the orbit's lowest index.
+One child step, _child, judges every candidate of either kind: it takes
+the child's degrees d and neighbour-degree sums s (s(x) sums the
+degrees of x's neighbours) from the parent's by +1 updates, ranks the
+new edge with the one tie test, _ties, and hands a survivor to the one
+deletion test, _canonical_child.  A child is kept only when its new
+edge lies in the Aut(child)-orbit of the child's canonical deletion:
+among the removable edges uv that maximise (d(u)+d(v), min d,
+s(u)+s(v), min s), the one with the lowest canonical edge index.  The
+removable edges are the pendant edges on tree levels and the non-bridge
+edges on edge levels, and each level reads them off the parent once:
+the parent's pendant edges less the one at v, which the new leaf makes
+internal, or the parent's edges with the side of each bridge.
 
 Deleting it leaves a connected class of the level before, and the
 deletion is fixed up to an automorphism, so each class is kept from
@@ -117,6 +121,11 @@ class EnumSpec:
         return self.n - 1 + self.c
 
 
+def _spec(spec) -> None:
+    if not isinstance(spec, EnumSpec):
+        raise GraphError(f"{spec!r} is not an EnumSpec")
+
+
 @dataclass(frozen=True)
 class ExtremalReport:
     """Outcome of one extremal scan, with witnesses for both extremes.
@@ -169,6 +178,7 @@ class ExtremalReport:
 
 def extremal_scan(spec: EnumSpec, index: str) -> ExtremalReport:
     """Exhaustive min/max of one index over the graphs selected by an EnumSpec."""
+    _spec(spec)
     score = _formula(index)
     n, m = spec.n, spec.m
     t0 = time.perf_counter()
@@ -316,8 +326,19 @@ def _canonical_child(n: int, adj, tied):
     return form, aut, cperms
 
 
-def _grow(rows, deg, nsum, u, v):
-    """The rows, degrees and neighbour-degree sums of the parent's plus uv."""
+def _parent(n: int, mask: int):
+    # the rows, degrees and neighbour-degree sums _child starts from
+    rows = mask_rows(n, mask)
+    deg = list(map(len, rows))
+    return rows, deg, [sum([deg[w] for w in row]) for row in rows]
+
+
+def _child(n: int, rows, deg, nsum, u, v, edges, sides):
+    """(canonical mask, |Aut|, generators) of the parent plus uv, or None.
+
+    The parent's rows, degrees and neighbour-degree sums grow by +1
+    updates; _ties ranks uv against the removable edges and their sides.
+    """
     adj = rows[:]
     adj[u] = rows[u] + [v]
     adj[v] = rows[v] + [u]
@@ -331,14 +352,8 @@ def _grow(rows, deg, nsum, u, v):
         s[w] += 1
     s[u] += d[v]
     s[v] += d[u]
-    return adj, d, s
-
-
-def _parent(n: int, mask: int):
-    # the rows, degrees and neighbour-degree sums _grow starts from
-    rows = mask_rows(n, mask)
-    deg = list(map(len, rows))
-    return rows, deg, [sum([deg[w] for w in row]) for row in rows]
+    tied = _ties(edges, sides, d, s, u, v)
+    return None if tied is None else _canonical_child(n, adj, tied)
 
 
 def _leaf_children(k: int, parents):
@@ -352,18 +367,17 @@ def _leaf_children(k: int, parents):
     for mask, perms in parents.items():
         # the mask on k-1 vertices is the same mask on k, vertex k-1 isolated
         rows, deg, nsum = _parent(k, mask)
+        pendant = [(w, rows[w][0]) for w in range(k - 1) if deg[w] == 1]
         fixed = [perm + (k - 1,) for perm in perms]
         for v, leaf in _orbit_reps([(v, k - 1) for v in range(k - 1)], fixed):
-            adj, d, s = _grow(rows, deg, nsum, leaf, v)
-            pendant = [(w, adj[w][0]) for w in range(leaf) if d[w] == 1]
-            tied = _ties(pendant, {}, d, s, leaf, v)
-            if tied is not None:
-                child = _canonical_child(k, adj, tied)
-                if child is not None:
-                    yield child
+            # the leaf makes v internal, so its pendant edge is no rival
+            others = [e for e in pendant if e[0] != v]
+            child = _child(k, rows, deg, nsum, leaf, v, others, {})
+            if child is not None:
+                yield child
 
 
-def _edge_children(n: int, parents, pairs):
+def _edge_children(n: int, parents):
     """(canonical mask, |Aut|, generators) of each class one edge up.
 
     parents maps the canonical mask of each connected class with m edges
@@ -371,24 +385,20 @@ def _edge_children(n: int, parents, pairs):
     non-edge orbit and is kept when it lies in the orbit of the canonical
     deletion among the non-bridge edges.
     """
+    full = (1 << n * (n - 1) // 2) - 1
     for mask, perms in parents.items():
         rows, deg, nsum = _parent(n, mask)
-        edges = [(a, b) for b, row in enumerate(rows) for a in row if a < b]
+        edges = mask_edges(n, mask)
         sides = _bridge_sides(n, rows)
         # adding uv makes no bridge and lowers no degree, so a non-bridge
         # edge of degree sum above d(u)+d(v)+2 outscores uv in the child
         gate = max([deg[a] + deg[b] for a, b in edges if (a, b) not in sides], default=0)
-        for u, v in _orbit_reps(
-            [pair for j, pair in enumerate(pairs) if not mask >> j & 1], perms
-        ):
+        for u, v in _orbit_reps(mask_edges(n, full ^ mask), perms):
             if gate > deg[u] + deg[v] + 2:
                 continue
-            adj, d, s = _grow(rows, deg, nsum, u, v)
-            tied = _ties(edges, sides, d, s, u, v)
-            if tied is not None:
-                child = _canonical_child(n, adj, tied)
-                if child is not None:
-                    yield child
+            child = _child(n, rows, deg, nsum, u, v, edges, sides)
+            if child is not None:
+                yield child
 
 
 def _ties(edges, sides, d, s, u, v):
@@ -424,12 +434,11 @@ def _class_levels(n: int):
     level, gens = {0: 1}, {0: []}
     for k in range(2, n + 1):
         level, gens = _collect(_leaf_children(k, gens))
-    pairs = edge_table(n)
-    full = len(pairs)
+    full = n * (n - 1) // 2
     for m in range(n - 1, full + 1):
         yield m, level
         if m < full:
-            level, gens = _collect(_edge_children(n, gens, pairs))
+            level, gens = _collect(_edge_children(n, gens))
 
 
 def connected_classes(n: int, m: int) -> dict[int, int]:
@@ -455,6 +464,7 @@ def connected_classes(n: int, m: int) -> dict[int, int]:
 
 def brace_census(spec: EnumSpec) -> tuple[str, ...]:
     """Canonical forms of the connected (n, m) classes without pendant vertices."""
+    _spec(spec)
     if spec.c < 1:
         raise GraphError("a pendant-free census needs a cycle: c must be >= 1")
     n = spec.n

@@ -92,6 +92,12 @@ def _ints(**values) -> None:
             raise GraphError(f"{name} must be an int, got {value!r}")
 
 
+def _graph(g, error=GraphError) -> None:
+    # the one test that an argument is a Graph; rewrite raises its own error
+    if not isinstance(g, Graph):
+        raise error(f"{g!r} is not a Graph")
+
+
 def _check_vertex(g: Graph, v: int) -> None:
     if type(v) is not int or v < 0 or v >= g.n:
         raise GraphError(f"vertex {v!r} out of range 0..{g.n - 1}")
@@ -165,11 +171,13 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def degree(g: Graph, v: int) -> int:
     """Number of neighbors of v."""
+    _graph(g)
     return g.degree(v)
 
 
 def edge_degree(g: Graph, u: int, v: int) -> int:
     """Degree of the edge uv: deg(u) + deg(v) - 2.  Requires uv in E."""
+    _graph(g)
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     return len(g._adj[u]) + len(g._adj[v]) - 2
@@ -177,6 +185,7 @@ def edge_degree(g: Graph, u: int, v: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0."""
+    _graph(g)
     return len(_reach(g._adj, 0, range(g.n))) == g.n
 
 
@@ -189,6 +198,7 @@ def cyclomatic_number(g: Graph) -> int:
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:
     """Sorted tuple of degree-1 vertices."""
+    _graph(g)
     return tuple(v for v in range(g.n) if len(g._adj[v]) == 1)
 
 
@@ -200,6 +210,7 @@ def brace(g: Graph) -> Graph:
     empty; raises GraphError when it still has degree < 2 somewhere, i.e.
     when some component carries no cycle (trees in particular have none).
     """
+    _graph(g)
     dead = set()
     deg = [len(g._adj[v]) for v in range(g.n)]
     stack = [v for v in range(g.n) if deg[v] == 1]
@@ -227,6 +238,7 @@ def fuse(g: Graph, u: int, v: int) -> Graph:
     keep their relative order before it) and is adjacent to the union of
     the two old neighborhoods.  n decreases by one.
     """
+    _graph(g)
     _check_vertex(g, u)
     _check_vertex(g, v)
     if u == v:
@@ -246,6 +258,7 @@ def line_graph(g: Graph) -> Graph:
     Vertex i of the result is g.edges[i] (lexicographic order).  Requires
     at least one edge.
     """
+    _graph(g)
     m = g.m
     if m == 0:
         raise GraphError("line graph of an edgeless graph is undefined")
@@ -265,6 +278,8 @@ def read_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are skipped.
     """
+    if not isinstance(text, str):
+        raise GraphError(f"edge-list text must be a str, got {text!r}")
     rows = [
         line.split()
         for line in text.splitlines()
@@ -290,6 +305,7 @@ def read_edge_list(text: str) -> Graph:
 
 def write_edge_list(g: Graph) -> str:
     """Inverse of read_edge_list."""
+    _graph(g)
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g._edges)
     return "\n".join(lines) + "\n"

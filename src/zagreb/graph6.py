@@ -25,7 +25,7 @@ from binascii import a2b_base64, b2a_base64
 from itertools import compress
 
 # graph_of_mask looks _from_edges up here at call time; perfbench wraps it
-from .graph import Graph, GraphError, _from_edges
+from .graph import Graph, GraphError, _from_edges, _graph
 
 
 class Graph6Error(GraphError):
@@ -180,6 +180,7 @@ def decode_mask(text: str) -> tuple[int, int]:
 
 def graph6_encode(g: Graph) -> str:
     """graph6 line for g (labeled, not canonicalized)."""
+    _graph(g)
     _size_prefix(g.n)  # before the mask, which an oversized n makes huge
     data = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
     for u, v in g.edges:

@@ -17,7 +17,7 @@ tuple.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _graph
 
 
 def degrees(n: int, edges) -> list[int]:
@@ -96,6 +96,7 @@ def em2(g: Graph) -> int:
 
 def compute_index(g: Graph, index: str) -> int:
     """Dispatch by index id ("m1", "m2", "em1", "em2")."""
+    _graph(g)
     return _formula(index)(list(map(len, g._adj)), g._edges)
 
 

@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import islice
 from operator import countOf
 
-from .graph import Graph, GraphError, _from_edges, _kept, _reach
+from .graph import Graph, GraphError, _from_edges, _graph, _kept, _reach
 from .indices import INDEX_FUNCS, degrees, em1
 
 class RewriteError(GraphError):
@@ -58,12 +58,12 @@ class RewriteSpec:
     reattach: int | None = None
 
     def params(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("u", "v", "path", "root", "subtree", "reattach"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = list(val) if isinstance(val, tuple) else val
-        return out
+        # the fields in field order: kind, then each optional one that is set
+        return {
+            name: list(val) if isinstance(val, tuple) else val
+            for name, val in vars(self).items()
+            if val is not None or name == "kind"
+        }
 
 
 @dataclass(frozen=True, init=False)
@@ -125,11 +125,6 @@ class RewriteResult:
         return em1(self.source)
 
 
-def _graph(g) -> None:
-    if not isinstance(g, Graph):
-        raise RewriteError(f"{g!r} is not a Graph")
-
-
 def _vertex(g: Graph, x, role: str) -> int:
     if type(x) is not int or not 0 <= x < g.n:
         raise RewriteError(f"{role}={x!r} is not a vertex of an n={g.n} graph")
@@ -147,7 +142,7 @@ def _sequence(xs, op: str, field: str) -> tuple:
 
 def operation_i(g: Graph, u: int, v: int) -> RewriteResult:
     """Move every pendant neighbor of u onto its neighbor v."""
-    _graph(g)
+    _graph(g, RewriteError)
     _vertex(g, u, "u")
     _vertex(g, v, "v")
     adj = g._adj
@@ -191,7 +186,7 @@ def operation_ii(g: Graph, path) -> RewriteResult:
     the former interior vertices plus one fresh vertex as pendants, so n
     and m are both preserved.
     """
-    _graph(g)
+    _graph(g, RewriteError)
     p = _sequence(path, "II", "path")
     if len(p) < 3:
         raise RewriteError(f"operation II: path needs >= 3 vertices, got {len(p)}")
@@ -241,7 +236,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
     path of equally many fresh vertices is threaded from root to
     reattach, preserving n and m.
     """
-    _graph(g)
+    _graph(g, RewriteError)
     _vertex(g, root, "root")
     sub = _sequence(subtree, "III", "subtree")
     for x in sub:
@@ -296,7 +291,7 @@ def operation_iii(g: Graph, root: int, subtree, reattach: int) -> RewriteResult:
 
 def operation_iv(g: Graph, u: int, v: int) -> RewriteResult:
     """Move every pendant of v onto u when u's core neighborhood covers v's."""
-    _graph(g)
+    _graph(g, RewriteError)
     _vertex(g, u, "u")
     _vertex(g, v, "v")
     if u == v:
@@ -449,5 +444,5 @@ def apply_rewrite(g: Graph, spec: RewriteSpec) -> RewriteResult:
 def find_applicable(g: Graph, kind: str) -> list[RewriteSpec]:
     """Every site where the operation's preconditions hold, in label order."""
     _, _, sites = _operation(kind)
-    _graph(g)
+    _graph(g, RewriteError)
     return sites(g)

@@ -261,8 +261,11 @@ def test_transform_rejects_a_repeated_subtree_vertex(capsys):
 
 
 def test_transform_rejects_bad_path_text(capsys):
-    code, _, err = run(capsys, "transform", "C~", "--op", "II", "--path", "2,x")
-    assert code == 2 and "comma-separated integers" in err
+    # an empty list is parsed, not taken for a missing flag
+    for op, flag, text in [("II", "--path", "2,x"), ("II", "--path", ""), ("III", "--subtree", "")]:
+        code, _, err = run(capsys, "transform", "C~", "--op", op, flag, text)
+        assert code == 2
+        assert err == f"error: {flag} wants comma-separated integers, got {text!r}\n"
 
 
 def test_families_range(capsys):

@@ -56,6 +56,7 @@ def test_s_n_k4_shape():
         (lambda: s_n_m(5, 9), "only 3 exist"),
         (lambda: s_n_k4(3), "needs n >= 4"),
         (lambda: path_graph(0), "needs n >= 1"),
+        (lambda: star_graph(1), "star needs n >= 2, got 1"),
         (lambda: cycle_graph(2), "needs n >= 3"),
         # orders are plain ints: a float or a bool is refused, not computed with
         (lambda: path_graph(2.5), "n must be an int, got 2.5"),

@@ -1,5 +1,6 @@
 import pytest
 
+import zagreb
 import zagreb.graph as graph_mod
 from zagreb import (
     Graph,
@@ -249,3 +250,39 @@ def test_edge_list_rejects(text, fragment):
     with pytest.raises(GraphError) as exc:
         read_edge_list(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: zagreb.m1(5), "5 is not a Graph"),
+        (lambda: zagreb.m2(5), "5 is not a Graph"),
+        (lambda: zagreb.em1(5), "5 is not a Graph"),
+        (lambda: zagreb.em2(5), "5 is not a Graph"),
+        (lambda: zagreb.compute_index(5, "em1"), "5 is not a Graph"),
+        (lambda: zagreb.canonical_form(5), "5 is not a Graph"),
+        (lambda: zagreb.graph6_encode(5), "5 is not a Graph"),
+        (lambda: degree(5, 0), "5 is not a Graph"),
+        (lambda: edge_degree(5, 0, 1), "5 is not a Graph"),
+        (lambda: is_connected(5), "5 is not a Graph"),
+        (lambda: cyclomatic_number(5), "5 is not a Graph"),
+        (lambda: pendant_vertices(5), "5 is not a Graph"),
+        (lambda: brace(5), "5 is not a Graph"),
+        (lambda: fuse(5, 0, 1), "5 is not a Graph"),
+        (lambda: line_graph(5), "5 is not a Graph"),
+        (lambda: write_edge_list(5), "5 is not a Graph"),
+        (lambda: line_graph(P4.edges), "((0, 1), (1, 2), (2, 3)) is not a Graph"),
+        (lambda: zagreb.extremal_scan(5, "em1"), "5 is not an EnumSpec"),
+        (lambda: zagreb.brace_census(5), "5 is not an EnumSpec"),
+        (lambda: zagreb.brace_census((5, 1)), "(5, 1) is not an EnumSpec"),
+        (lambda: read_edge_list(5), "edge-list text must be a str, got 5"),
+        (lambda: read_edge_list(b"2 1\n0 1\n"),
+         "edge-list text must be a str, got b'2 1\\n0 1\\n'"),
+    ],
+)
+def test_exported_functions_refuse_the_wrong_type(call, message):
+    # a library caller gets a GraphError naming what it passed, not a bare
+    # AttributeError from deep inside the function
+    with pytest.raises(GraphError) as exc:
+        call()
+    assert type(exc.value) is GraphError and str(exc.value) == message

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import zagreb.graph6 as graph6_mod
 from zagreb import (
+    Graph,
     Graph6Error,
     cycle_graph,
     graph6_decode,
@@ -104,6 +105,9 @@ def test_decode_rejects_set_padding_bit():
     assert graph6_encode(cycle_graph(3)) == "Bw"
     with pytest.raises(Graph6Error, match="padding bit"):
         graph6_decode("Bx")
+    # and the encoder refuses a mask with a bit past K3's three
+    with pytest.raises(Graph6Error, match="adjacency mask has bits beyond the triangle"):
+        encode_mask(3, 0b1111)
 
 
 def test_trailing_newline_tolerated():
@@ -147,9 +151,13 @@ def test_large_graphs_round_trip_in_linear_time(make):
     assert wall < 5.0, wall
 
 
-class _OversizedGraph:
-    # stands in for star_graph(258048), whose mask alone would take 4 GB
+class _OversizedGraph(Graph):
+    # stands in for star_graph(258048), whose mask alone would take 4 GB;
+    # a Graph, since graph6_encode refuses anything else
     n = 258048
+
+    def __new__(cls):
+        return object.__new__(cls)
 
     @property
     def edges(self):
