@@ -5,8 +5,6 @@ extremal families, exhaustive connected-graph enumeration, and the
 theorem/lemma verification harness behind the `zagreb` CLI.
 """
 
-import os
-
 from .canon import CANON_LIMIT, canonical_form
 from .enumeration import (
     EnumSpec,
@@ -68,13 +66,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-# the class path is pure Python, so "py" is the only backend; ZAGREB_KERNEL
-# may be unset, empty or "py", and any other value fails the import loudly
+# the class path is pure Python, so "py" is the only backend
 BACKEND = "py"
-
-_forced = os.environ.get("ZAGREB_KERNEL", "").strip().lower()
-if _forced not in ("", "py"):
-    raise ImportError(f"ZAGREB_KERNEL must be 'py' or unset, got {_forced!r}")
 
 __all__ = [
     "BACKEND",

@@ -184,16 +184,12 @@ def _cmd_enumerate(args) -> int:
     with table as tf, _out_stream(args.out) as fh:
         fh.write(rep.to_json() + "\n")
         if args.csv:
-            writer = csv.writer(tf, lineterminator="\n")
-            writer.writerow(
-                ["n", "c", "m", "index", "visited", "min", "max",
-                 "min_classes", "max_classes", "wall_time_s"]
-            )
-            writer.writerow(
-                [rep.n, rep.c, rep.m, rep.index, rep.visited,
-                 rep.min_value, rep.max_value, rep.min_classes,
-                 rep.max_classes, rep.wall_time_s]
-            )
+            # column -> value: the header row is its keys, the one data row its values
+            row = {"n": rep.n, "c": rep.c, "m": rep.m, "index": rep.index,
+                   "visited": rep.visited, "min": rep.min_value, "max": rep.max_value,
+                   "min_classes": rep.min_classes, "max_classes": rep.max_classes,
+                   "wall_time_s": rep.wall_time_s}
+            csv.writer(tf, lineterminator="\n").writerows((row.keys(), row.values()))
     return 0
 
 

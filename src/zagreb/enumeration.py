@@ -151,26 +151,15 @@ class ExtremalReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "c": self.c,
-            "m": self.m,
-            "index": self.index,
-            "dedup": self.dedup,
-            "visited": self.visited,
-            "min": {
-                "value": self.min_value,
-                "classes": self.min_classes,
-                "graphs": list(self.min_graphs),
-            },
-            "max": {
-                "value": self.max_value,
-                "classes": self.max_classes,
-                "graphs": list(self.max_graphs),
-            },
-            "wall_time_s": self.wall_time_s,
-        }
+        # each side's min_*/max_* fields make up one block named by the side
+        doc = {"schema": 1}
+        for name, val in vars(self).items():
+            side, _, key = name.partition("_")
+            if side in ("min", "max"):
+                doc.setdefault(side, {})[key] = list(val) if isinstance(val, tuple) else val
+            else:
+                doc[name] = val
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

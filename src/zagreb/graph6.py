@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 from itertools import compress
+from math import isqrt
 
 # graph_of_mask looks _from_edges up here at call time; perfbench wraps it
 from .graph import Graph, GraphError, _from_edges, _graph
@@ -70,26 +71,22 @@ def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
     selector, and itertools.compress picks the pairs of _PAIRS at its set
     bytes: one C-level pass, and no pair built.  Larger n take the mask's
     little-endian bytes, let itertools.compress pick out the nonzero ones,
-    and read their set bits in ascending order while a column pointer
-    advances with them, so no string of one character per bit is built.
+    and read their set bits in ascending order, each bit's column in closed
+    form, so no string of one character per bit is built.
     """
     if n <= 62:
         return list(compress(_PAIRS, bin(mask)[:1:-1].encode().translate(_BIT)))
     edges: list[tuple[int, int]] = []
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    # column v holds the indices start .. start+v-1, and index k is edge (k - start, v)
-    v = 1
-    start = 0
     for i in compress(range(len(data)), data):
         byte = data[i]
         while byte:
             low = byte & -byte
             byte ^= low
             k = (i << 3) + low.bit_length() - 1
-            while k >= start + v:
-                start += v
-                v += 1
-            edges.append((k - start, v))
+            # column v holds the indices v(v-1)/2 .. v(v+1)/2 - 1
+            v = (isqrt(8 * k + 1) + 1) // 2
+            edges.append((k - v * (v - 1) // 2, v))
     return edges
 
 

@@ -104,13 +104,7 @@ class VerdictReport:
     def to_dict(self) -> dict:
         return {
             "schema": 1,
-            "claim": self.claim,
-            "passed": self.passed,
-            "params": self.params,
-            "rows": list(self.rows),
-            "counterexamples": list(self.counterexamples),
-            "notes": list(self.notes),
-            "wall_time_s": self.wall_time_s,
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()},
         }
 
     def to_json(self) -> str:
@@ -245,6 +239,8 @@ def random_connected_graph(
 ) -> Graph:
     """Random connected graph: a uniform labeled tree plus 0..3 extra edges."""
     # checked before any draw, so every seeded graph stays the same
+    if not isinstance(rng, random.Random):
+        raise GraphError(f"rng must be a random.Random, got {rng!r}")
     _ints(n_min=n_min, n_max=n_max)
     if not 1 <= n_min <= n_max:
         raise GraphError(f"need 1 <= n_min <= n_max, got n_min={n_min}, n_max={n_max}")
@@ -257,6 +253,12 @@ def random_connected_graph(
         spare = [e for e in edge_table(n) if e not in have]
         edges += rng.sample(spare, min(c, len(spare)))
     return _from_edges(n, edges)
+
+
+def _site_row(g: Graph, site: RewriteSpec, before: int, after: int) -> dict:
+    # one rewrite site of a lemma report: a counterexample or the fixture row
+    return {"graph6": graph6_encode(g), "site": site.params(),
+            "em1_before": before, "em1_after": after}
 
 
 def _lemma_pass(kinds, trials, seed, enum_max):
@@ -288,12 +290,7 @@ def _lemma_pass(kinds, trials, seed, enum_max):
                 delta = after - before
                 if (delta > 0) != increases or delta == 0:
                     stats[kind]["violations"] += weight
-                    bad[kind].append({
-                        "graph6": graph6_encode(g),
-                        "site": site.params(),
-                        "em1_before": before,
-                        "em1_after": after,
-                    })
+                    bad[kind].append(_site_row(g, site, before, after))
 
     for n in range(1, enum_max + 1):
         order = math.factorial(n)
@@ -314,13 +311,7 @@ def _lemma_report(claim, corpus_size, stats, bad, trials, seed, enum_max, wall):
     sites = stats[kind]["sites"]
     direction = "increase" if increases else "decrease"
     rows = (
-        {
-            "kind": "fixture",
-            "graph6": graph6_encode(fg),
-            "site": fspec.params(),
-            "em1_before": fres.em1_before,
-            "em1_after": fres.em1_after,
-        },
+        {"kind": "fixture", **_site_row(fg, fspec, fres.em1_before, fres.em1_after)},
         {
             "kind": "corpus",
             "corpus_size": corpus_size,

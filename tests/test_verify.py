@@ -329,18 +329,20 @@ def test_random_connected_graph_is_seeded_and_connected():
 
 
 @pytest.mark.parametrize(
-    "n_min, n_max, message",
+    "n_min, n_max, message, bad_rng",
     [
-        (5, 4, "need 1 <= n_min <= n_max, got n_min=5, n_max=4"),
-        (0, 3, "need 1 <= n_min <= n_max, got n_min=0, n_max=3"),
-        (4.0, 6, "n_min must be an int, got 4.0"),
-        (4, True, "n_max must be an int, got True"),
+        (5, 4, "need 1 <= n_min <= n_max, got n_min=5, n_max=4", None),
+        (0, 3, "need 1 <= n_min <= n_max, got n_min=0, n_max=3", None),
+        (4.0, 6, "n_min must be an int, got 4.0", None),
+        (4, True, "n_max must be an int, got True", None),
+        # a seed is not a generator: it is refused, not drawn from
+        (4, 12, "rng must be a random.Random, got 5", 5),
     ],
 )
-def test_random_connected_graph_checks_its_bounds_before_drawing(n_min, n_max, message):
+def test_random_connected_graph_checks_its_bounds_before_drawing(n_min, n_max, message, bad_rng):
     rng = random.Random(5)
     with pytest.raises(GraphError) as exc:
-        random_connected_graph(rng, n_min, n_max)
+        random_connected_graph(rng if bad_rng is None else bad_rng, n_min, n_max)
     assert str(exc.value) == message
     assert rng.getstate() == random.Random(5).getstate()
 
